@@ -11,6 +11,7 @@ from .adversary import (
     gen_random,
     gen_theorem3,
     gen_theorem5,
+    limit_value_coefs,
     load_family,
     save_family,
 )
@@ -43,13 +44,11 @@ from .mechanisms import (
     RANDOM_PRICING,
     Coins,
     MechanismConfig,
-    MechanismState,
     Outcome,
     coin_levels,
     coin_space,
     draw_coins,
-    initial_state,
-    on_arrival,
+    evaluate_arrival,
     quote_price,
     run_sequence,
 )
@@ -59,6 +58,8 @@ from .model import (
     InvalidInstanceError,
     MarketBounds,
     Reservation,
+    bounds_from_dict,
+    bounds_to_dict,
     format_rational,
     instance_from_dict,
     instance_to_dict,

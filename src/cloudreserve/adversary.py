@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -21,9 +21,12 @@ from .model import (
     Instance,
     MarketBounds,
     Reservation,
+    bounds_from_dict,
+    bounds_to_dict,
     format_rational,
-    instance_from_dict,
-    instance_to_dict,
+    load_instance,
+    realized_bounds,
+    save_instance,
     to_rational,
     validate_instance,
 )
@@ -184,6 +187,29 @@ def gen_theorem5(n: int, m: int, capacity: int) -> YaoFamily:
     )
 
 
+def limit_value_coefs(family: YaoFamily) -> dict[str, Fraction]:
+    """Linear-in-capacity coefficient of each job's value.
+
+    Bundle values are affine in the capacity (with epsilon sent to 0 for the
+    six-bundle family), so differencing two capacities recovers the exact
+    coefficient that survives the large-capacity limit.
+    """
+    if family.kind == THEOREM3:
+        low = _theorem3_bundles(16, Fraction(0))
+        high = _theorem3_bundles(32, Fraction(0))
+    elif family.kind == THEOREM5:
+        low = _theorem5_bundles(family.n, family.m, 16)
+        high = _theorem5_bundles(family.n, family.m, 32)
+    else:
+        raise ValueError(f"unknown family kind {family.kind!r}")
+    low_values = {job.id: job.v for bundle in low for job in bundle}
+    high_values = {job.id: job.v for bundle in high for job in bundle}
+    return {
+        job_id: (high_values[job_id] - low_values[job_id]) / 16
+        for job_id in low_values
+    }
+
+
 # ---------------------------------------------------------------------------
 # Seeded random workloads.
 
@@ -235,16 +261,10 @@ class RandomWorkloadSpec:
 
     @staticmethod
     def from_dict(data: dict) -> "RandomWorkloadSpec":
-        bounds_data = data["bounds"]
         return RandomWorkloadSpec(
             job_count=int(data["job_count"]),
             capacity=int(data["capacity"]),
-            bounds=MarketBounds(
-                rho_min=to_rational(bounds_data["rho_min"]),
-                rho_max=to_rational(bounds_data["rho_max"]),
-                t_min=to_rational(bounds_data["t_min"]),
-                t_max=to_rational(bounds_data["t_max"]),
-            ),
+            bounds=bounds_from_dict(data["bounds"]),
             arrivals=tuple(to_rational(x) for x in data["arrivals"]),
             slacks=tuple(to_rational(x) for x in data["slacks"]),
             lengths=tuple(to_rational(x) for x in data["lengths"]),
@@ -258,12 +278,7 @@ class RandomWorkloadSpec:
         return {
             "job_count": self.job_count,
             "capacity": self.capacity,
-            "bounds": {
-                "rho_min": format_rational(self.bounds.rho_min),
-                "rho_max": format_rational(self.bounds.rho_max),
-                "t_min": format_rational(self.bounds.t_min),
-                "t_max": format_rational(self.bounds.t_max),
-            },
+            "bounds": bounds_to_dict(self.bounds),
             "arrivals": [format_rational(x) for x in self.arrivals],
             "slacks": [format_rational(x) for x in self.slacks],
             "lengths": [format_rational(x) for x in self.lengths],
@@ -289,15 +304,9 @@ def gen_random(spec: RandomWorkloadSpec, seed: Optional[int] = None) -> Instance
                 id=f"j{idx:02d}", a=a, d=a + t + slack, t=t, c=c, v=rho * c * t
             )
         )
-    bounds = spec.bounds
+    inst = Instance(capacity=spec.capacity, bounds=spec.bounds, jobs=tuple(jobs))
     if spec.tighten_bounds and jobs:
-        densities = [job.density for job in jobs]
-        lengths = [job.t for job in jobs]
-        bounds = MarketBounds(
-            rho_min=min(densities), rho_max=max(densities),
-            t_min=min(lengths), t_max=max(lengths),
-        )
-    inst = Instance(capacity=spec.capacity, bounds=bounds, jobs=tuple(jobs))
+        inst = replace(inst, bounds=realized_bounds(inst))
     violations = validate_instance(inst)
     if violations:
         raise RuntimeError(f"generator produced an invalid instance: {violations}")
@@ -314,7 +323,7 @@ def save_family(family: YaoFamily, out_dir: Union[str, Path]) -> Path:
     filenames = []
     for idx, inst in enumerate(family.instances, 1):
         name = f"I{idx:02d}.json"
-        Path(out, name).write_text(json.dumps(instance_to_dict(inst), indent=2) + "\n")
+        save_instance(inst, Path(out, name))
         filenames.append(name)
     manifest = {
         "version": FAMILY_FORMAT_VERSION,
@@ -335,12 +344,10 @@ def save_family(family: YaoFamily, out_dir: Union[str, Path]) -> Path:
 def load_family(directory: Union[str, Path]) -> YaoFamily:
     root = Path(directory)
     manifest = json.loads(Path(root, "family.json").read_text())
-    if int(manifest.get("version")) != FAMILY_FORMAT_VERSION:
-        raise ValueError(f"unsupported family format version: {manifest.get('version')!r}")
-    instances = tuple(
-        instance_from_dict(json.loads(Path(root, name).read_text()))
-        for name in manifest["instances"]
-    )
+    version = manifest.get("version")
+    if version != FAMILY_FORMAT_VERSION:
+        raise ValueError(f"unsupported family format version: {version!r}")
+    instances = tuple(load_instance(Path(root, name)) for name in manifest["instances"])
     by_id = {job.id: job for job in instances[-1].jobs}
     bundles = tuple(
         tuple(by_id[job_id] for job_id in bundle_ids)

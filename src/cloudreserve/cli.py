@@ -2,11 +2,13 @@
 
 Reporting commands print JSON (default) or CSV and exit 0 only when every
 claimed bound is satisfied (or, for ``audit``, when no profitable deviation
-was found), so the CLI doubles as a scriptable checker.
+was found), so the CLI doubles as a scriptable checker.  A failed claim exits
+1; bad input (a malformed or invalid file) exits 2 with one ``Error:`` line.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import sys
 from fractions import Fraction
@@ -23,6 +25,7 @@ from .adversary import (
     save_family,
 )
 from .harness import (
+    CSV_COLUMNS,
     DeviationGrid,
     RatioReport,
     YaoReport,
@@ -39,7 +42,6 @@ from .mechanisms import (
     run_sequence,
 )
 from .model import (
-    InvalidInstanceError,
     format_rational,
     load_instance,
     parse_rational,
@@ -53,14 +55,14 @@ def _rational_field(value: Fraction) -> dict:
     return {"rational": format_rational(value), "decimal": rational_to_decimal(value)}
 
 
-def _print_rows(rows: list[dict]) -> None:
-    import csv as _csv
-
-    from .harness import CSV_COLUMNS
-
-    writer = _csv.DictWriter(sys.stdout, fieldnames=CSV_COLUMNS, lineterminator="\n")
-    writer.writeheader()
+def _write_csv(header: list[str], rows: list[list]) -> None:
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer.writerow(header)
     writer.writerows(rows)
+
+
+def _print_rows(rows: list[dict]) -> None:
+    _write_csv(CSV_COLUMNS, [[row[column] for column in CSV_COLUMNS] for row in rows])
 
 
 def _mechanism_config(mechanism: str, inst, alpha: str | None) -> MechanismConfig:
@@ -96,7 +98,27 @@ alpha_option = click.option(
 )
 
 
-@click.group()
+class InputError(click.ClickException):
+    """A fault in the command's input, as opposed to a failed claim."""
+
+    exit_code = 2
+
+
+class _MainGroup(click.Group):
+    """Reports input faults from any command as one ``Error:`` line, exit 2."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except OracleCapExceeded as exc:
+            raise InputError(f"{exc} (explored {exc.explored_nodes} nodes)") from exc
+        except KeyError as exc:
+            raise InputError(f"missing field {exc}") from exc
+        except ValueError as exc:
+            raise InputError(str(exc)) from exc
+
+
+@click.group(cls=_MainGroup)
 def main() -> None:
     """Truthful online reservation mechanisms: simulate, bound-check, audit."""
 
@@ -152,10 +174,7 @@ def run_cmd(mechanism: str, instance: str, seed: int, alpha: str | None, output_
     inst = load_instance(instance)
     config = _mechanism_config(mechanism, inst, alpha)
     coins = draw_coins(config, seed)
-    try:
-        outcome = run_sequence(config, coins, inst)
-    except InvalidInstanceError as exc:
-        raise click.ClickException(str(exc))
+    outcome = run_sequence(config, coins, inst)
     if output_format == "json":
         payload = {
             "instance": Path(instance).stem,
@@ -175,21 +194,18 @@ def run_cmd(mechanism: str, instance: str, seed: int, alpha: str | None, output_
         }
         click.echo(json.dumps(payload, indent=2))
     else:
-        import csv as _csv
-
-        writer = _csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["id", "accepted", "price", "start"])
-        for job_id, decision in outcome.decisions:
-            writer.writerow(
-                [
-                    job_id,
-                    "true" if decision.accepted else "false",
-                    format_rational(decision.price) if decision.accepted else "",
-                    format_rational(decision.start) if decision.accepted else "",
-                ]
-            )
-        writer.writerow(["welfare", format_rational(outcome.welfare), "", ""])
-        writer.writerow(["revenue", format_rational(outcome.revenue), "", ""])
+        rows = [
+            [
+                job_id,
+                "true" if decision.accepted else "false",
+                format_rational(decision.price) if decision.accepted else "",
+                format_rational(decision.start) if decision.accepted else "",
+            ]
+            for job_id, decision in outcome.decisions
+        ]
+        rows.append(["welfare", format_rational(outcome.welfare), "", ""])
+        rows.append(["revenue", format_rational(outcome.revenue), "", ""])
+        _write_csv(["id", "accepted", "price", "start"], rows)
 
 
 def _ratio_report_json(report: RatioReport) -> dict:
@@ -216,10 +232,7 @@ def expect_cmd(mechanism: str, instance: str, alpha: str | None, output_format: 
     """Exact expectation over the full coin space, checked against the claimed bound."""
     inst = load_instance(instance)
     config = _mechanism_config(mechanism, inst, alpha)
-    try:
-        report = exact_expectation(config, inst, instance_id=Path(instance).stem)
-    except (InvalidInstanceError, OracleCapExceeded, ValueError) as exc:
-        raise click.ClickException(str(exc))
+    report = exact_expectation(config, inst, instance_id=Path(instance).stem)
     if output_format == "json":
         click.echo(json.dumps(_ratio_report_json(report), indent=2))
     else:
@@ -233,10 +246,7 @@ def expect_cmd(mechanism: str, instance: str, alpha: str | None, output_format: 
 def oracle_cmd(instance: str, output_format: str) -> None:
     """Exact offline-optimal welfare with a feasible witness."""
     inst = load_instance(instance)
-    try:
-        result = optimal_welfare(inst)
-    except OracleCapExceeded as exc:
-        raise click.ClickException(f"{exc} (explored {exc.explored_nodes} nodes)")
+    result = optimal_welfare(inst)
     if output_format == "json":
         payload = {
             "instance": Path(instance).stem,
@@ -249,13 +259,9 @@ def oracle_cmd(instance: str, output_format: str) -> None:
         }
         click.echo(json.dumps(payload, indent=2))
     else:
-        import csv as _csv
-
-        writer = _csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["id", "start"])
-        for job_id, start in result.witness:
-            writer.writerow([job_id, format_rational(start)])
-        writer.writerow(["opt_welfare", format_rational(result.opt_welfare)])
+        rows = [[job_id, format_rational(start)] for job_id, start in result.witness]
+        rows.append(["opt_welfare", format_rational(result.opt_welfare)])
+        _write_csv(["id", "start"], rows)
 
 
 def _yao_report_json(report: YaoReport) -> dict:

@@ -17,13 +17,7 @@ from itertools import combinations, product
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
-from .adversary import (
-    THEOREM3,
-    THEOREM5,
-    YaoFamily,
-    _theorem3_bundles,
-    _theorem5_bundles,
-)
+from .adversary import THEOREM3, YaoFamily, limit_value_coefs
 from .mechanisms import (
     BINARY_FILTER,
     BOUNDED_BINARY_FILTER,
@@ -41,9 +35,10 @@ from .model import (
     Reservation,
     format_rational,
     rational_to_decimal,
+    realized_bounds,
     require_valid,
 )
-from .oracle import DEFAULT_JOB_CAP, DEFAULT_NODE_CAP, optimal_welfare, subset_feasible
+from .oracle import optimal_welfare, subset_feasible
 from .timeline import CapacityTimeline
 
 
@@ -72,11 +67,10 @@ def effective_spreads(config: MechanismConfig, inst: Instance) -> tuple[Fraction
     that is the pricing basis; the length spread uses the realized extremes.
     Empty instances report (1, 1).
     """
-    if not inst.jobs:
+    realized = realized_bounds(inst)
+    if realized is None:
         return Fraction(1), Fraction(1)
-    k_eff = max(job.density for job in inst.jobs) / config.bounds.rho_min
-    lengths = [job.t for job in inst.jobs]
-    return k_eff, max(lengths) / min(lengths)
+    return realized.rho_max / config.bounds.rho_min, realized.T
 
 
 def _require_alpha(config: MechanismConfig) -> Fraction:
@@ -140,15 +134,12 @@ def exact_expectation(
     config: MechanismConfig,
     inst: Instance,
     instance_id: str = "instance",
-    *,
-    job_cap: int = DEFAULT_JOB_CAP,
-    node_cap: int = DEFAULT_NODE_CAP,
 ) -> RatioReport:
     """Exact expected welfare/revenue against the offline optimum."""
     require_valid(inst)
     bound = claimed_bound(config, inst)
     expected_welfare, expected_revenue, count = expected_performance(config, inst)
-    opt = optimal_welfare(inst, job_cap=job_cap, node_cap=node_cap).opt_welfare
+    opt = optimal_welfare(inst).opt_welfare
     if opt == 0:
         welfare_ratio = revenue_ratio = Fraction(1)
         satisfied = True
@@ -195,13 +186,7 @@ def band_of(job: Reservation, bounds) -> tuple[int, int]:
     return u, v
 
 
-def binary_filter_band_checks(
-    config: MechanismConfig,
-    inst: Instance,
-    *,
-    job_cap: int = DEFAULT_JOB_CAP,
-    node_cap: int = DEFAULT_NODE_CAP,
-) -> tuple[BandCheck, ...]:
+def binary_filter_band_checks(config: MechanismConfig, inst: Instance) -> tuple[BandCheck, ...]:
     """For each coin band (u, v): E_i[welfare | u, v] >= OPT(band jobs) / 42.
 
     The expectation is over the capacity coin i only, with (u, v) pinned;
@@ -219,7 +204,7 @@ def binary_filter_band_checks(
                 job for job in inst.jobs if band_of(job, config.bounds) == (u, v)
             )
             sub = Instance(capacity=inst.capacity, bounds=inst.bounds, jobs=band_jobs)
-            opt_band = optimal_welfare(sub, job_cap=job_cap, node_cap=node_cap).opt_welfare
+            opt_band = optimal_welfare(sub).opt_welfare
             welfare_sum = Fraction(0)
             for i in (0, 1):
                 outcome = run_sequence(config, Coins(i=i, u=u, v=v), inst)
@@ -266,36 +251,7 @@ class YaoReport:
     closed_form: Optional[tuple[Fraction, ...]] = None  # per commit depth j
 
 
-def _limit_value_coefs(family: YaoFamily) -> dict[str, Fraction]:
-    """Linear-in-capacity coefficient of each job's value.
-
-    Bundle values are affine in the capacity (with epsilon sent to 0 for the
-    six-bundle family), so differencing two capacities recovers the exact
-    coefficient that survives the large-capacity limit.
-    """
-    if family.kind == THEOREM3:
-        low = _theorem3_bundles(16, Fraction(0))
-        high = _theorem3_bundles(32, Fraction(0))
-    elif family.kind == THEOREM5:
-        low = _theorem5_bundles(family.n, family.m, 16)
-        high = _theorem5_bundles(family.n, family.m, 32)
-    else:
-        raise ValueError(f"unknown family kind {family.kind!r}")
-    low_values = {job.id: job.v for bundle in low for job in bundle}
-    high_values = {job.id: job.v for bundle in high for job in bundle}
-    return {
-        job_id: (high_values[job_id] - low_values[job_id]) / 16
-        for job_id in low_values
-    }
-
-
-def yao_evaluate(
-    family: YaoFamily,
-    family_id: Optional[str] = None,
-    *,
-    job_cap: int = DEFAULT_JOB_CAP,
-    node_cap: int = DEFAULT_NODE_CAP,
-) -> YaoReport:
+def yao_evaluate(family: YaoFamily, family_id: Optional[str] = None) -> YaoReport:
     """Expected ratio of every deterministic commit strategy against the
     uniform draw over the family's instances, with exact offline optima.
 
@@ -313,7 +269,7 @@ def yao_evaluate(
     }
     opt_values = []
     for idx, inst in enumerate(family.instances, 1):
-        opt = optimal_welfare(inst, job_cap=job_cap, node_cap=node_cap).opt_welfare
+        opt = optimal_welfare(inst).opt_welfare
         bundle_value = sum((job.v for job in family.bundles[idx - 1]), Fraction(0))
         if opt != bundle_value:
             raise RuntimeError(
@@ -322,7 +278,7 @@ def yao_evaluate(
             )
         opt_values.append(opt)
 
-    coefs = _limit_value_coefs(family)
+    coefs = limit_value_coefs(family)
     opt_coefs = [
         sum((coefs[job.id] for job in bundle), Fraction(0)) for bundle in family.bundles
     ]
@@ -429,12 +385,6 @@ class DeviationGrid:
             points_per_dim=int(data.get("points_per_dim", 5)),
             include_corners=bool(data.get("include_corners", False)),
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "points_per_dim": self.points_per_dim,
-            "include_corners": self.include_corners,
-        }
 
 
 @dataclass(frozen=True)
@@ -587,8 +537,6 @@ CSV_COLUMNS = [
     "revenue_ratio_decimal",
     "bound_decimal",
 ]
-
-_RATIONAL_COLUMNS = ("welfare", "revenue", "opt", "welfare_ratio", "revenue_ratio", "bound")
 
 
 def format_coins(coins: Coins) -> str:

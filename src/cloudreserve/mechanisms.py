@@ -186,35 +186,6 @@ def evaluate_arrival(
 
 
 @dataclass(frozen=True)
-class MechanismState:
-    """Run state threaded through arrivals; the log is append-only."""
-
-    config: MechanismConfig
-    coins: Coins
-    timeline: CapacityTimeline
-    log: tuple[tuple[str, Decision], ...] = ()
-
-
-def initial_state(config: MechanismConfig, coins: Coins) -> MechanismState:
-    return MechanismState(
-        config=config,
-        coins=coins,
-        timeline=CapacityTimeline.empty(config.capacity),
-    )
-
-
-def on_arrival(state: MechanismState, job: Reservation) -> tuple[MechanismState, Decision]:
-    decision, timeline = evaluate_arrival(state.config, state.coins, state.timeline, job)
-    next_state = MechanismState(
-        config=state.config,
-        coins=state.coins,
-        timeline=timeline,
-        log=state.log + ((job.id, decision),),
-    )
-    return next_state, decision
-
-
-@dataclass(frozen=True)
 class Outcome:
     """Per-run record: all decisions plus exact welfare and revenue totals."""
 
@@ -227,12 +198,14 @@ class Outcome:
 def run_sequence(config: MechanismConfig, coins: Coins, inst: Instance) -> Outcome:
     """Fold the online mechanism over the instance's arrival order."""
     require_valid(inst)
-    state = initial_state(config, coins)
+    timeline = CapacityTimeline.empty(config.capacity)
+    decisions: list[tuple[str, Decision]] = []
     welfare = Fraction(0)
     revenue = Fraction(0)
     for job in inst.jobs:
-        state, decision = on_arrival(state, job)
+        decision, timeline = evaluate_arrival(config, coins, timeline, job)
+        decisions.append((job.id, decision))
         if decision.accepted:
             welfare += job.v
             revenue += decision.price
-    return Outcome(decisions=state.log, welfare=welfare, revenue=revenue, coins=coins)
+    return Outcome(decisions=tuple(decisions), welfare=welfare, revenue=revenue, coins=coins)

@@ -225,16 +225,22 @@ def realized_bounds(inst: Instance) -> Optional[MarketBounds]:
 # Instance file format (versioned JSON; rationals as "num/den" strings).
 
 
+_BOUNDS_FIELDS = ("rho_min", "rho_max", "t_min", "t_max")
+
+
+def bounds_to_dict(bounds: MarketBounds) -> dict:
+    return {name: format_rational(getattr(bounds, name)) for name in _BOUNDS_FIELDS}
+
+
+def bounds_from_dict(data: dict) -> MarketBounds:
+    return MarketBounds(**{name: data[name] for name in _BOUNDS_FIELDS})
+
+
 def instance_to_dict(inst: Instance) -> dict:
     return {
         "version": INSTANCE_FORMAT_VERSION,
         "capacity": inst.capacity,
-        "bounds": {
-            "rho_min": format_rational(inst.bounds.rho_min),
-            "rho_max": format_rational(inst.bounds.rho_max),
-            "t_min": format_rational(inst.bounds.t_min),
-            "t_max": format_rational(inst.bounds.t_max),
-        },
+        "bounds": bounds_to_dict(inst.bounds),
         "jobs": [
             {
                 "id": job.id,
@@ -251,15 +257,9 @@ def instance_to_dict(inst: Instance) -> dict:
 
 def instance_from_dict(data: dict) -> Instance:
     version = data.get("version")
-    if int(version) != INSTANCE_FORMAT_VERSION:
+    if version != INSTANCE_FORMAT_VERSION:
         raise ValueError(f"unsupported instance format version: {version!r}")
-    bounds_data = data["bounds"]
-    bounds = MarketBounds(
-        rho_min=to_rational(bounds_data["rho_min"]),
-        rho_max=to_rational(bounds_data["rho_max"]),
-        t_min=to_rational(bounds_data["t_min"]),
-        t_max=to_rational(bounds_data["t_max"]),
-    )
+    bounds = bounds_from_dict(data["bounds"])
     jobs = tuple(
         Reservation(
             id=str(job["id"]),

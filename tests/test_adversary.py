@@ -1,5 +1,6 @@
 """Generator fidelity and conflict-structure tests."""
 
+import json
 from fractions import Fraction
 from itertools import combinations
 
@@ -142,6 +143,19 @@ def test_family_round_trip(tmp_path):
     loaded3 = load_family(tmp_path / "fam3")
     assert loaded3.epsilon == Fraction(1, 10)
     assert loaded3.instances == family3.instances
+
+
+def test_family_manifest_version_check(tmp_path):
+    out = save_family(gen_theorem5(2, 1, 8), tmp_path / "fam")
+    manifest_path = out / "family.json"
+    manifest = json.loads(manifest_path.read_text())
+    for version in (99, None):
+        manifest["version"] = version
+        if version is None:
+            del manifest["version"]
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="unsupported family format version"):
+            load_family(out)
 
 
 # --- random workloads -------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from cloudreserve import load_family, load_instance
@@ -156,5 +157,65 @@ def test_invalid_instance_surfaces_violations(tmp_path):
     path = tmp_path / "bad.json"
     cloudreserve.save_instance(bad, path)
     result = invoke("run", "--mechanism", "greedy", "--instance", str(path), "--seed", "0")
-    assert result.exit_code != 0
+    assert result.exit_code == 2
     assert "length exceeds window" in result.output
+
+
+# --- input faults exit 2 with one error line --------------------------------
+
+INSTANCE_COMMANDS = {
+    "run": ["run", "--mechanism", "greedy", "--seed", "0"],
+    "expect": ["expect", "--mechanism", "random-pricing"],
+    "oracle": ["oracle"],
+    "audit": ["audit", "--mechanism", "binary-filter", "--seed", "0"],
+}
+
+
+def assert_input_error(result, message):
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    errors = [line for line in result.output.splitlines() if line.startswith("Error: ")]
+    assert len(errors) == 1 and message in errors[0], result.output
+
+
+@pytest.mark.parametrize("command", sorted(INSTANCE_COMMANDS))
+def test_non_json_instance_exits_2(tmp_path, command):
+    path = tmp_path / "inst.json"
+    path.write_text("not json\n")
+    result = invoke(*INSTANCE_COMMANDS[command], "--instance", str(path))
+    assert_input_error(result, "Expecting value")
+
+
+@pytest.mark.parametrize("command", sorted(INSTANCE_COMMANDS))
+def test_unversioned_instance_exits_2(tmp_path, command):
+    path = write_instance(tmp_path)
+    data = json.loads(path.read_text())
+    del data["version"]
+    path.write_text(json.dumps(data))
+    result = invoke(*INSTANCE_COMMANDS[command], "--instance", str(path))
+    assert_input_error(result, "unsupported instance format version: None")
+
+
+def test_audit_invalid_instance_exits_2(tmp_path):
+    bad = instance(8, [job("x", 0, 1, 2, 1, 2)], t_max=2)  # length exceeds window
+    path = tmp_path / "bad.json"
+    cloudreserve.save_instance(bad, path)
+    result = invoke(*INSTANCE_COMMANDS["audit"], "--instance", str(path))
+    assert_input_error(result, "length exceeds window")
+
+
+def test_yao_manifest_without_instances_exits_2(tmp_path):
+    fam = tmp_path / "fam"
+    invoke("gen", "theorem5", "--n", "2", "--m", "1", "--capacity", "8", "--out", str(fam))
+    manifest = json.loads((fam / "family.json").read_text())
+    del manifest["instances"]
+    (fam / "family.json").write_text(json.dumps(manifest))
+    result = invoke("yao", "--family", str(fam))
+    assert_input_error(result, "instances")
+
+
+def test_oracle_too_many_jobs_exits_2(tmp_path):
+    path = write_instance(tmp_path, jobs=[job(f"j{i}", 0, 10, 1, 1, 1) for i in range(13)])
+    result = invoke("oracle", "--instance", str(path))
+    assert_input_error(result, "exceeds the 12-job cap (explored 0 nodes)")

@@ -12,15 +12,15 @@ from cloudreserve import (
     GREEDY,
     MECHANISM_KINDS,
     RANDOM_PRICING,
+    CapacityTimeline,
     Coins,
     MarketBounds,
     MechanismConfig,
     coin_levels,
     coin_space,
     draw_coins,
+    evaluate_arrival,
     gen_theorem3,
-    initial_state,
-    on_arrival,
     quote_price,
     run_sequence,
 )
@@ -146,25 +146,25 @@ def test_price_monotone_in_reported_length_and_demand(kind, i, u, v, t, c, dt, d
 
 def test_filter_rejects_low_value_regardless_of_capacity():
     cfg = config(RANDOM_PRICING)
-    state = initial_state(cfg, Coins(i=0))
-    state, decision = on_arrival(state, job("x", 0, 10, 2, 3, 5))  # price 6 > value 5
+    timeline = CapacityTimeline.empty(cfg.capacity)
+    decision, _ = evaluate_arrival(cfg, Coins(i=0), timeline, job("x", 0, 10, 2, 3, 5))  # price 6 > value 5
     assert not decision.accepted
     assert decision.price is None
 
 
 def test_tie_value_equals_price_accepts():
     cfg = config(RANDOM_PRICING)
-    state = initial_state(cfg, Coins(i=0))
-    state, decision = on_arrival(state, job("x", 0, 10, 2, 3, 6))
+    timeline = CapacityTimeline.empty(cfg.capacity)
+    decision, _ = evaluate_arrival(cfg, Coins(i=0), timeline, job("x", 0, 10, 2, 3, 6))
     assert decision.accepted and decision.price == 6 and decision.start == 0
 
 
 def test_no_feasible_slot_rejects_without_charging():
     cfg = config(RANDOM_PRICING, capacity=4)
-    state = initial_state(cfg, Coins(i=0))
-    state, first = on_arrival(state, job("a", 0, 5, 5, 4, 20))
+    timeline = CapacityTimeline.empty(cfg.capacity)
+    first, timeline = evaluate_arrival(cfg, Coins(i=0), timeline, job("a", 0, 5, 5, 4, 20))
     assert first.accepted
-    state, second = on_arrival(state, job("b", 0, 5, 2, 1, 100))
+    second, _ = evaluate_arrival(cfg, Coins(i=0), timeline, job("b", 0, 5, 2, 1, 100))
     assert not second.accepted and second.price is None
 
 

@@ -117,7 +117,10 @@ def test_instance_file_round_trip(tmp_path):
 
 
 def test_instance_dict_version_check():
-    data = instance_to_dict(instance(4, []))
-    data["version"] = 99
-    with pytest.raises(ValueError):
-        instance_from_dict(data)
+    for version in (99, None):
+        data = instance_to_dict(instance(4, []))
+        data["version"] = version
+        if version is None:
+            del data["version"]
+        with pytest.raises(ValueError, match="unsupported instance format version"):
+            instance_from_dict(data)

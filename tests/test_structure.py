@@ -1,0 +1,28 @@
+"""Module-boundary rules checked on the package source."""
+
+import ast
+from pathlib import Path
+
+PACKAGE_DIR = Path(__file__).resolve().parents[1] / "src" / "cloudreserve"
+
+
+def private_imports(path: Path) -> list[str]:
+    """Leading-underscore names this module imports from another cloudreserve module."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = node.module or ""
+        if node.level == 0 and module.split(".")[0] != "cloudreserve":
+            continue
+        for alias in node.names:
+            if alias.name.startswith("_"):
+                found.append(f"{path.name}: from {'.' * node.level}{module} import {alias.name}")
+    return found
+
+
+def test_no_module_imports_another_modules_private_names():
+    modules = sorted(PACKAGE_DIR.glob("*.py"))
+    assert modules
+    violations = [line for path in modules for line in private_imports(path)]
+    assert violations == []
