@@ -68,6 +68,7 @@ from .model import (
     rational_to_decimal,
     realized_bounds,
     save_instance,
+    to_count,
     to_rational,
     validate_instance,
 )

@@ -23,10 +23,13 @@ from .model import (
     Reservation,
     bounds_from_dict,
     bounds_to_dict,
+    coerce_fields,
     format_rational,
     load_instance,
     realized_bounds,
     save_instance,
+    to_count,
+    to_flag,
     to_rational,
     validate_instance,
 )
@@ -48,6 +51,11 @@ class YaoFamily:
     epsilon: Optional[Fraction] = None
     n: Optional[int] = None
     m: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        optional = {"epsilon": to_rational, "n": to_count, "m": to_count}
+        optional = {name: c for name, c in optional.items() if getattr(self, name) is not None}
+        coerce_fields(self, "family", capacity=to_count, **optional)
 
     @property
     def size(self) -> int:
@@ -79,11 +87,7 @@ def _theorem3_bundles(capacity: int, epsilon: Fraction) -> tuple[tuple[Reservati
     one = Fraction(1)
 
     def job(bundle: int, index: int, a, d, t, c, v) -> Reservation:
-        return Reservation(
-            id=f"B{bundle}-{index}",
-            a=to_rational(a), d=to_rational(d), t=to_rational(t),
-            c=c, v=to_rational(v),
-        )
+        return Reservation(f"B{bundle}-{index}", a, d, t, c, v)
 
     return (
         (job(1, 1, 2 - eps, 3 + eps, 1 + 2 * eps, half, (one + 2 * eps) * half),),
@@ -234,11 +238,15 @@ class RandomWorkloadSpec:
     tighten_bounds: bool = False  # re-declare bounds as the realized envelope
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "arrivals", tuple(to_rational(x) for x in self.arrivals))
-        object.__setattr__(self, "slacks", tuple(to_rational(x) for x in self.slacks))
-        object.__setattr__(self, "lengths", tuple(to_rational(x) for x in self.lengths))
-        object.__setattr__(self, "demands", tuple(int(x) for x in self.demands))
-        object.__setattr__(self, "densities", tuple(to_rational(x) for x in self.densities))
+        def rationals(values) -> tuple[Fraction, ...]:
+            return tuple(to_rational(x) for x in values)
+
+        coerce_fields(
+            self, "workload spec",
+            job_count=to_count, capacity=to_count, arrivals=rationals, slacks=rationals,
+            lengths=rationals, demands=lambda values: tuple(to_count(x) for x in values),
+            densities=rationals, seed=to_count, tighten_bounds=to_flag,
+        )
         self._check()
 
     def _check(self) -> None:
@@ -262,16 +270,16 @@ class RandomWorkloadSpec:
     @staticmethod
     def from_dict(data: dict) -> "RandomWorkloadSpec":
         return RandomWorkloadSpec(
-            job_count=int(data["job_count"]),
-            capacity=int(data["capacity"]),
+            job_count=data["job_count"],
+            capacity=data["capacity"],
             bounds=bounds_from_dict(data["bounds"]),
-            arrivals=tuple(to_rational(x) for x in data["arrivals"]),
-            slacks=tuple(to_rational(x) for x in data["slacks"]),
-            lengths=tuple(to_rational(x) for x in data["lengths"]),
-            demands=tuple(int(x) for x in data["demands"]),
-            densities=tuple(to_rational(x) for x in data["densities"]),
-            seed=int(data.get("seed", 0)),
-            tighten_bounds=bool(data.get("tighten_bounds", False)),
+            arrivals=data["arrivals"],
+            slacks=data["slacks"],
+            lengths=data["lengths"],
+            demands=data["demands"],
+            densities=data["densities"],
+            seed=data.get("seed", 0),
+            tighten_bounds=data.get("tighten_bounds", False),
         )
 
     def to_dict(self) -> dict:
@@ -355,10 +363,10 @@ def load_family(directory: Union[str, Path]) -> YaoFamily:
     )
     return YaoFamily(
         kind=manifest["kind"],
-        capacity=int(manifest["capacity"]),
+        capacity=manifest["capacity"],
         bundles=bundles,
         instances=instances,
-        epsilon=to_rational(manifest["epsilon"]) if "epsilon" in manifest else None,
-        n=int(manifest["n"]) if "n" in manifest else None,
-        m=int(manifest["m"]) if "m" in manifest else None,
+        epsilon=manifest.get("epsilon"),
+        n=manifest.get("n"),
+        m=manifest.get("m"),
     )

@@ -20,8 +20,6 @@ from typing import Iterable, Optional, Sequence, Union
 from .adversary import THEOREM3, YaoFamily, limit_value_coefs
 from .mechanisms import (
     BINARY_FILTER,
-    BOUNDED_BINARY_FILTER,
-    GREEDY,
     Coins,
     MechanismConfig,
     ceil_log2,
@@ -33,10 +31,13 @@ from .mechanisms import (
 from .model import (
     Instance,
     Reservation,
+    coerce_fields,
     format_rational,
     rational_to_decimal,
     realized_bounds,
     require_valid,
+    to_count,
+    to_flag,
 )
 from .oracle import optimal_welfare, subset_feasible
 from .timeline import CapacityTimeline
@@ -93,26 +94,23 @@ def _check_alpha_conformance(config: MechanismConfig, inst: Instance) -> None:
 def claimed_bound(config: MechanismConfig, inst: Instance) -> Fraction:
     """The competitive-ratio guarantee applicable to this run.
 
-    random-pricing claims 1/42 when the realized spreads stay within 2 and
-    1/(8Tk + 4k + 2) otherwise; greedy claims (1-a)/(11-a) under the demand
-    cap a; the filter mechanisms divide their base guarantee by the coin
-    ranges L_k * L_T taken from the declared bounds.
+    The base guarantee is 1/42 with the capacity coin and (1-a)/(11-a) under
+    the demand cap a without it; a banded kind divides it by its L_k * L_T
+    bands from the declared bounds.  Random-pricing claims 1/(8Tk + 4k + 2)
+    instead once a realized spread exceeds 2.
     """
     _check_alpha_conformance(config, inst)
-    if config.kind == GREEDY:
+    if config.capacity_coin and not config.banded:
+        k_eff, t_eff = effective_spreads(config, inst)
+        if k_eff > 2 or t_eff > 2:
+            return 1 / (8 * t_eff * k_eff + 4 * k_eff + 2)
+    if config.capacity_coin:
+        base = Fraction(1, 42)
+    else:
         alpha = _require_alpha(config)
-        return (1 - alpha) / (11 - alpha)
-    if config.kind == BOUNDED_BINARY_FILTER:
-        alpha = _require_alpha(config)
-        level_k, level_t = coin_levels(config.bounds)
-        return (1 - alpha) / ((11 - alpha) * level_k * level_t)
-    if config.kind == BINARY_FILTER:
-        level_k, level_t = coin_levels(config.bounds)
-        return Fraction(1, 42 * level_k * level_t)
-    k_eff, t_eff = effective_spreads(config, inst)
-    if k_eff <= 2 and t_eff <= 2:
-        return Fraction(1, 42)
-    return 1 / (8 * t_eff * k_eff + 4 * k_eff + 2)
+        base = (1 - alpha) / (11 - alpha)
+    level_k, level_t = coin_levels(config.bounds) if config.banded else (1, 1)
+    return base / (level_k * level_t)
 
 
 def expected_performance(
@@ -278,41 +276,9 @@ def yao_evaluate(family: YaoFamily, family_id: Optional[str] = None) -> YaoRepor
             )
         opt_values.append(opt)
 
-    coefs = limit_value_coefs(family)
-    opt_coefs = [
-        sum((coefs[job.id] for job in bundle), Fraction(0)) for bundle in family.bundles
+    candidates = [
+        (f"commit:B{b_idx}", bundle) for b_idx, bundle in enumerate(family.bundles, 1)
     ]
-
-    def welfare_profile(jobs: Sequence[Reservation]) -> tuple[Fraction, ...]:
-        return tuple(
-            sum((job.v for job in jobs if bundle_of[job.id] <= i), Fraction(0))
-            for i in range(1, size + 1)
-        )
-
-    def expected_ratio(profile: Sequence[Fraction]) -> Fraction:
-        return sum(
-            (profile[i] / opt_values[i] for i in range(size)), Fraction(0)
-        ) / size
-
-    def idealized_ratio(jobs: Sequence[Reservation]) -> Fraction:
-        total = Fraction(0)
-        for i in range(1, size + 1):
-            strategy_coef = sum(
-                (coefs[job.id] for job in jobs if bundle_of[job.id] <= i), Fraction(0)
-            )
-            total += strategy_coef / opt_coefs[i - 1]
-        return total / size
-
-    strategies: list[YaoStrategy] = []
-    for b_idx, bundle in enumerate(family.bundles, 1):
-        strategies.append(
-            YaoStrategy(
-                label=f"commit:B{b_idx}",
-                job_ids=tuple(job.id for job in bundle),
-                expected_ratio=expected_ratio(welfare_profile(bundle)),
-                idealized_ratio=idealized_ratio(bundle),
-            )
-        )
     if family.kind == THEOREM3:
         pool = [job for bundle in family.bundles[3:] for job in bundle]
         last_instance = family.instances[-1]
@@ -324,19 +290,34 @@ def yao_evaluate(family: YaoFamily, family_id: Optional[str] = None) -> YaoRepor
                 continue
             pair = sorted((x, y), key=lambda job: bundle_of[job.id])
             label = f"pair:B{bundle_of[pair[0].id]}+B{bundle_of[pair[1].id]}"
-            profile = welfare_profile(pair)
-            if (label, profile) in seen:
+            # a pair's label and its two values fix its welfare profile
+            mirror_key = (label, tuple(job.v for job in pair))
+            if mirror_key in seen:
                 continue
-            seen.add((label, profile))
-            strategies.append(
-                YaoStrategy(
-                    label=label,
-                    job_ids=tuple(job.id for job in pair),
-                    expected_ratio=expected_ratio(profile),
-                    idealized_ratio=idealized_ratio(pair),
-                )
-            )
+            seen.add(mirror_key)
+            candidates.append((label, pair))
 
+    values = {job.id: job.v for bundle in family.bundles for job in bundle}
+    coefs = limit_value_coefs(family)
+
+    def ratio(jobs: Sequence[Reservation], weight: dict[str, Fraction]) -> Fraction:
+        """Mean over the instances I_i of the jobs' weight in bundles <= i
+        over bundle i's weight (I_i's optimum, by the check above)."""
+        total = Fraction(0)
+        for i, bundle in enumerate(family.bundles, 1):
+            kept = sum((weight[job.id] for job in jobs if bundle_of[job.id] <= i), Fraction(0))
+            total += kept / sum((weight[job.id] for job in bundle), Fraction(0))
+        return total / size
+
+    strategies = [
+        YaoStrategy(
+            label=label,
+            job_ids=tuple(job.id for job in jobs),
+            expected_ratio=ratio(jobs, values),
+            idealized_ratio=ratio(jobs, coefs),
+        )
+        for label, jobs in candidates
+    ]
     best = max(strategies, key=lambda s: (s.expected_ratio,))
     analytic_limit = max(s.idealized_ratio for s in strategies)
     if family.kind == THEOREM3:
@@ -376,14 +357,15 @@ class DeviationGrid:
     include_corners: bool = False
 
     def __post_init__(self) -> None:
+        coerce_fields(self, "grid", points_per_dim=to_count, include_corners=to_flag)
         if self.points_per_dim < 2:
             raise ValueError("points_per_dim must be >= 2")
 
     @staticmethod
     def from_dict(data: dict) -> "DeviationGrid":
         return DeviationGrid(
-            points_per_dim=int(data.get("points_per_dim", 5)),
-            include_corners=bool(data.get("include_corners", False)),
+            points_per_dim=data.get("points_per_dim", 5),
+            include_corners=data.get("include_corners", False),
         )
 
 

@@ -15,7 +15,10 @@ Price formulas (rho_min, t_min from the market bounds, C the capacity):
   bounded-binary-filter  p = rho_min * 2^(u-1) * c * max{t_min * 2^(v-1), t}
 
 with i uniform on {0,1}, u uniform on [1, L_k], v uniform on [1, L_T], where
-L_k = max(1, ceil(log2 k)) and L_T = max(1, ceil(log2 T)).
+L_k = max(1, ceil(log2 k)) and L_T = max(1, ceil(log2 T)).  The table is
+nested: every row is the binary-filter formula with the coins the kind does
+not draw pinned (i = 0 without the capacity coin, u = v = 1 without bands),
+so one formula prices every kind.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Optional
 
 from .model import (
@@ -79,6 +83,16 @@ class MechanismConfig:
             if not (0 < alpha <= Fraction(1, 2)):
                 raise ValueError("alpha must lie in (0, 1/2]")
 
+    @property
+    def capacity_coin(self) -> bool:
+        """Whether the price reads coin i; the other kinds pin i = 0."""
+        return self.kind in (RANDOM_PRICING, BINARY_FILTER)
+
+    @property
+    def banded(self) -> bool:
+        """Whether the kind draws band coins u, v; the others pin u = v = 1."""
+        return self.kind in (BINARY_FILTER, BOUNDED_BINARY_FILTER)
+
 
 def ceil_log2(q: Fraction) -> int:
     """Smallest integer e >= 0 with 2^e >= q, computed exactly."""
@@ -103,64 +117,46 @@ def coin_levels(bounds: MarketBounds) -> tuple[int, int]:
 def draw_coins(config: MechanismConfig, seed: int) -> Coins:
     """Uniform coins for this mechanism kind, deterministic in the seed."""
     rng = random.Random(seed)
-    if config.kind in (RANDOM_PRICING, GREEDY):
+    if not config.banded:
         return Coins(i=rng.randint(0, 1))
     level_k, level_t = coin_levels(config.bounds)
     u = rng.randint(1, level_k)
     v = rng.randint(1, level_t)
-    i = rng.randint(0, 1)
-    return Coins(i=i, u=u, v=v)
+    return Coins(i=rng.randint(0, 1), u=u, v=v)
 
 
 def coin_space(config: MechanismConfig) -> tuple[Coins, ...]:
-    """Every coin tuple the mechanism distinguishes, for exact expectations.
-
-    Greedy is deterministic (one tuple); bounded-binary-filter ignores ``i``,
-    so one representative per (u, v) suffices.
-    """
-    if config.kind == GREEDY:
-        return (Coins(i=0),)
-    if config.kind == RANDOM_PRICING:
-        return (Coins(i=0), Coins(i=1))
-    level_k, level_t = coin_levels(config.bounds)
-    if config.kind == BOUNDED_BINARY_FILTER:
-        return tuple(
-            Coins(i=0, u=u, v=v)
-            for u in range(1, level_k + 1)
-            for v in range(1, level_t + 1)
-        )
-    return tuple(
-        Coins(i=i, u=u, v=v)
-        for u in range(1, level_k + 1)
-        for v in range(1, level_t + 1)
-        for i in (0, 1)
-    )
+    """Every coin tuple the price distinguishes (u, then v, then i), for
+    exact expectations; greedy reads no coin, so its space is one tuple."""
+    bands = ((None, None),)
+    if config.banded:
+        level_k, level_t = coin_levels(config.bounds)
+        bands = product(range(1, level_k + 1), range(1, level_t + 1))
+    capacity_coins = (0, 1) if config.capacity_coin else (0,)
+    return tuple(Coins(i=i, u=u, v=v) for u, v in bands for i in capacity_coins)
 
 
 def quote_price(config: MechanismConfig, coins: Coins, job: Reservation) -> Fraction:
     """The posted price for a reported job.
 
     Depends only on the configuration, the coins, and the reported t and c;
-    never on v, the window, or what happened earlier in the run.
+    never on v, the window, or what happened earlier in the run.  Pins the
+    coins the kind does not draw and evaluates the binary-filter formula.
+    On every report ``validate_instance`` admits (t >= t_min, c >= 1) this
+    is the kind's own row of the module's table.  Outside those bounds the
+    pinned factors still apply: random-pricing and greedy floor the length
+    at t_min, and greedy and bounded-binary-filter floor the demand at 1.
     """
-    bounds = config.bounds
-    half_cap = Fraction(config.capacity, 2)
-    if config.kind == RANDOM_PRICING:
-        threshold = half_cap if coins.i == 1 else Fraction(1)
-        return bounds.rho_min * job.t * max(threshold, Fraction(job.c))
-    if config.kind == GREEDY:
-        return bounds.rho_min * job.c * job.t
-    if coins.u is None or coins.v is None:
+    u, v = (coins.u, coins.v) if config.banded else (1, 1)
+    if u is None or v is None:
         raise ValueError(f"{config.kind} requires u and v coins")
-    density_step = Fraction(2) ** (coins.u - 1)
-    length_floor = bounds.t_min * Fraction(2) ** (coins.v - 1)
-    length_term = max(length_floor, job.t)
-    if config.kind == BOUNDED_BINARY_FILTER:
-        demand_term = Fraction(job.c)
-    else:
-        threshold = half_cap if coins.i == 1 else Fraction(1)
-        demand_term = max(threshold, Fraction(job.c))
-    return bounds.rho_min * density_step * demand_term * length_term
+    bounds = config.bounds
+    threshold = Fraction(config.capacity, 2) if config.capacity_coin and coins.i == 1 else 1
+    density_step = 2 ** (u - 1)
+    demand_term = max(threshold, job.c)
+    length_term = max(bounds.t_min * 2 ** (v - 1), job.t)
+    # the integer product first spares one Fraction multiplication
+    return bounds.rho_min * (density_step * demand_term) * length_term
 
 
 def evaluate_arrival(

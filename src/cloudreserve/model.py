@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
 
@@ -39,6 +39,30 @@ def to_rational(value: RationalLike) -> Fraction:
     if isinstance(value, str):
         return parse_rational(value)
     raise TypeError(f"cannot interpret {value!r} as a rational")
+
+
+def to_count(value: Union[int, str]) -> int:
+    """Coerce an int (not a bool) or an integer string such as "8" to an int."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise TypeError(f"cannot interpret {value!r} as an integer")
+    return int(value)
+
+
+def to_flag(value: bool) -> bool:
+    """Accept only a real boolean: the string "false" is not false."""
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
+def coerce_fields(obj, owner: str, **converters: Callable) -> None:
+    """Coerce the named fields of a frozen dataclass in place; a value a
+    converter rejects becomes a ValueError naming the owner and the field."""
+    for name, convert in converters.items():
+        try:
+            object.__setattr__(obj, name, convert(getattr(obj, name)))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{owner}: field {name!r}: {exc}") from exc
 
 
 def parse_rational(text: str) -> Fraction:
@@ -86,11 +110,10 @@ class Reservation:
     v: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a", to_rational(self.a))
-        object.__setattr__(self, "d", to_rational(self.d))
-        object.__setattr__(self, "t", to_rational(self.t))
-        object.__setattr__(self, "c", int(self.c))
-        object.__setattr__(self, "v", to_rational(self.v))
+        coerce_fields(
+            self, f"job {self.id}",
+            a=to_rational, d=to_rational, t=to_rational, c=to_count, v=to_rational,
+        )
 
     @property
     def density(self) -> Fraction:
@@ -116,10 +139,10 @@ class MarketBounds:
     t_max: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rho_min", to_rational(self.rho_min))
-        object.__setattr__(self, "rho_max", to_rational(self.rho_max))
-        object.__setattr__(self, "t_min", to_rational(self.t_min))
-        object.__setattr__(self, "t_max", to_rational(self.t_max))
+        coerce_fields(
+            self, "bounds",
+            rho_min=to_rational, rho_max=to_rational, t_min=to_rational, t_max=to_rational,
+        )
 
     @property
     def k(self) -> Fraction:
@@ -145,8 +168,7 @@ class Instance:
     jobs: tuple[Reservation, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "capacity", int(self.capacity))
-        object.__setattr__(self, "jobs", tuple(self.jobs))
+        coerce_fields(self, "instance", capacity=to_count, jobs=tuple)
 
 
 @dataclass(frozen=True)
@@ -262,16 +284,11 @@ def instance_from_dict(data: dict) -> Instance:
     bounds = bounds_from_dict(data["bounds"])
     jobs = tuple(
         Reservation(
-            id=str(job["id"]),
-            a=to_rational(job["a"]),
-            d=to_rational(job["d"]),
-            t=to_rational(job["t"]),
-            c=int(job["c"]),
-            v=to_rational(job["v"]),
+            id=str(job["id"]), a=job["a"], d=job["d"], t=job["t"], c=job["c"], v=job["v"]
         )
         for job in data["jobs"]
     )
-    return Instance(capacity=int(data["capacity"]), bounds=bounds, jobs=jobs)
+    return Instance(capacity=data["capacity"], bounds=bounds, jobs=jobs)
 
 
 def save_instance(inst: Instance, path: Union[str, Path]) -> None:

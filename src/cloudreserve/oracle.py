@@ -77,8 +77,6 @@ def subset_feasible(
     inst: Instance,
     subset: Iterable[str],
     *,
-    job_cap: int = DEFAULT_JOB_CAP,
-    node_cap: int = DEFAULT_NODE_CAP,
     starts: Optional[Sequence[Fraction]] = None,
     budget: Optional[_Budget] = None,
 ) -> Optional[tuple[tuple[str, Fraction], ...]]:
@@ -92,15 +90,15 @@ def subset_feasible(
     if len(jobs) != len(wanted):
         missing = wanted - {job.id for job in jobs}
         raise ValueError(f"subset refers to unknown job ids: {sorted(missing)}")
-    if len(jobs) > job_cap:
+    if len(jobs) > DEFAULT_JOB_CAP:
         raise OracleCapExceeded(
-            f"subset of {len(jobs)} jobs exceeds the {job_cap}-job cap",
+            f"subset of {len(jobs)} jobs exceeds the {DEFAULT_JOB_CAP}-job cap",
             budget.used if budget else 0,
         )
     if not jobs:
         return ()
     if budget is None:
-        budget = _Budget(node_cap)
+        budget = _Budget(DEFAULT_NODE_CAP)
     if starts is None:
         starts = candidate_starts(jobs)
 
@@ -169,14 +167,7 @@ def optimal_welfare(
             return
         job = jobs[index]
         chosen.append(job.id)
-        witness = subset_feasible(
-            inst,
-            chosen,
-            job_cap=job_cap,
-            node_cap=node_cap,
-            starts=starts,
-            budget=budget,
-        )
+        witness = subset_feasible(inst, chosen, starts=starts, budget=budget)
         if witness is not None:
             if value + job.v > best_value:
                 best_value = value + job.v

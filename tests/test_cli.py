@@ -219,3 +219,44 @@ def test_oracle_too_many_jobs_exits_2(tmp_path):
     path = write_instance(tmp_path, jobs=[job(f"j{i}", 0, 10, 1, 1, 1) for i in range(13)])
     result = invoke("oracle", "--instance", str(path))
     assert_input_error(result, "exceeds the 12-job cap (explored 0 nodes)")
+
+
+MALFORMED_FIELDS = {
+    "float-demand": ("job", "c", 2.7, "job x: field 'c'"),
+    "float-capacity": (None, "capacity", 8.9, "instance: field 'capacity'"),
+    "float-arrival": ("job", "a", 1.5, "job x: field 'a'"),
+    "null-demand": ("job", "c", None, "job x: field 'c'"),
+    "bool-demand": ("job", "c", True, "job x: field 'c'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_FIELDS))
+@pytest.mark.parametrize("command", sorted(INSTANCE_COMMANDS))
+def test_malformed_numeric_field_exits_2(tmp_path, command, case):
+    where, field, value, message = MALFORMED_FIELDS[case]
+    path = write_instance(tmp_path)
+    data = json.loads(path.read_text())
+    (data["jobs"][0] if where == "job" else data)[field] = value
+    path.write_text(json.dumps(data))
+    result = invoke(*INSTANCE_COMMANDS[command], "--instance", str(path))
+    assert_input_error(result, message)
+
+
+def test_string_flags_exit_2(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "job_count": 1, "capacity": 8,
+        "bounds": {"rho_min": "1", "rho_max": "2", "t_min": "1", "t_max": "2"},
+        "arrivals": ["0"], "slacks": ["0"], "lengths": ["1"], "demands": [1],
+        "densities": ["1"], "tighten_bounds": "false",
+    }))
+    result = invoke("gen", "random", "--spec", str(spec), "--out", str(tmp_path / "i.json"))
+    assert_input_error(result, "field 'tighten_bounds'")
+
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"points_per_dim": 5, "include_corners": "false"}))
+    result = invoke(
+        *INSTANCE_COMMANDS["audit"], "--instance", str(write_instance(tmp_path)),
+        "--grid", str(grid),
+    )
+    assert_input_error(result, "field 'include_corners'")

@@ -17,6 +17,7 @@ from cloudreserve import (
     rational_to_decimal,
     realized_bounds,
     save_instance,
+    to_count,
     to_rational,
     validate_instance,
 )
@@ -46,6 +47,15 @@ def test_to_rational_rejects_floats_and_bools():
         to_rational(0.5)
     with pytest.raises(TypeError):
         to_rational(True)
+
+
+def test_to_count_accepts_only_ints_and_integer_strings():
+    assert to_count(3) == 3 and to_count("8") == 8
+    for bad in (True, 2.7, None, Fraction(2)):
+        with pytest.raises(TypeError):
+            to_count(bad)
+    with pytest.raises(ValueError):
+        to_count("2.5")
 
 
 def test_rational_to_decimal_round_half_even():

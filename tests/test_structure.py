@@ -26,3 +26,21 @@ def test_no_module_imports_another_modules_private_names():
     assert modules
     violations = [line for path in modules for line in private_imports(path)]
     assert violations == []
+
+
+def builtin_coercions(path: Path) -> list[str]:
+    """Calls of ``int(...)`` or ``bool(...)``, which coerce input in silence."""
+    return [
+        f"{path.name}:{node.lineno}: {node.func.id}(...)"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("int", "bool")
+    ]
+
+
+def test_only_model_coerces_with_int_or_bool():
+    modules = sorted(path for path in PACKAGE_DIR.glob("*.py") if path.name != "model.py")
+    assert modules
+    violations = [line for path in modules for line in builtin_coercions(path)]
+    assert violations == []
