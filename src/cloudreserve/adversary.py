@@ -31,7 +31,6 @@ from .model import (
     to_count,
     to_flag,
     to_rational,
-    validate_instance,
 )
 
 THEOREM3 = "theorem3"
@@ -42,7 +41,8 @@ FAMILY_FORMAT_VERSION = 1
 
 @dataclass(frozen=True)
 class YaoFamily:
-    """A bundle ladder plus its prefix instances I_1..I_N."""
+    """A bundle ladder plus its prefix instances I_1..I_N; by construction I_i
+    holds exactly the jobs of bundles B_1..B_i, in order, at the family's capacity."""
 
     kind: str
     capacity: int
@@ -56,28 +56,34 @@ class YaoFamily:
         optional = {"epsilon": to_rational, "n": to_count, "m": to_count}
         optional = {name: c for name, c in optional.items() if getattr(self, name) is not None}
         coerce_fields(self, "family", capacity=to_count, **optional)
+        if not self.bundles or len(self.instances) != self.size:
+            raise ValueError(
+                f"family: {len(self.instances)} instances for {self.size} bundles; "
+                "a ladder needs at least one bundle and one instance per bundle"
+            )
+        for i, inst in enumerate(self.instances, 1):
+            if (inst.capacity, inst.jobs) != (self.capacity, _prefix_jobs(self.bundles, i)):
+                raise ValueError(
+                    f"family: instance {i} is not bundles 1..{i} at capacity {self.capacity}"
+                )
 
     @property
     def size(self) -> int:
         return len(self.bundles)
 
 
+def _prefix_jobs(bundles: Sequence[Sequence[Reservation]], i: int) -> tuple[Reservation, ...]:
+    """The jobs of bundles B_1..B_i in arrival order."""
+    return tuple(job for bundle in bundles[:i] for job in bundle)
+
+
 def _ladder_instances(
-    capacity: int,
-    bounds: MarketBounds,
-    bundles: Sequence[Sequence[Reservation]],
+    capacity: int, bounds: MarketBounds, bundles: Sequence[Sequence[Reservation]]
 ) -> tuple[Instance, ...]:
-    instances = []
-    for depth in range(1, len(bundles) + 1):
-        jobs: list[Reservation] = []
-        for bundle in bundles[:depth]:
-            jobs.extend(bundle)
-        inst = Instance(capacity=capacity, bounds=bounds, jobs=tuple(jobs))
-        violations = validate_instance(inst)
-        if violations:
-            raise RuntimeError(f"generator produced an invalid instance: {violations}")
-        instances.append(inst)
-    return tuple(instances)
+    return tuple(
+        Instance(capacity=capacity, bounds=bounds, jobs=_prefix_jobs(bundles, depth))
+        for depth in range(1, len(bundles) + 1)
+    )
 
 
 def _theorem3_bundles(capacity: int, epsilon: Fraction) -> tuple[tuple[Reservation, ...], ...]:
@@ -298,7 +304,7 @@ class RandomWorkloadSpec:
 
 
 def gen_random(spec: RandomWorkloadSpec, seed: Optional[int] = None) -> Instance:
-    """Deterministic-in-seed workload; the instance always validates clean."""
+    """Deterministic-in-seed workload; invalid declared bounds raise ``InvalidInstanceError``."""
     rng = random.Random(spec.seed if seed is None else seed)
     jobs = []
     for idx in range(spec.job_count):
@@ -315,9 +321,6 @@ def gen_random(spec: RandomWorkloadSpec, seed: Optional[int] = None) -> Instance
     inst = Instance(capacity=spec.capacity, bounds=spec.bounds, jobs=tuple(jobs))
     if spec.tighten_bounds and jobs:
         inst = replace(inst, bounds=realized_bounds(inst))
-    violations = validate_instance(inst)
-    if violations:
-        raise RuntimeError(f"generator produced an invalid instance: {violations}")
     return inst
 
 
@@ -356,7 +359,10 @@ def load_family(directory: Union[str, Path]) -> YaoFamily:
     if version != FAMILY_FORMAT_VERSION:
         raise ValueError(f"unsupported family format version: {version!r}")
     instances = tuple(load_instance(Path(root, name)) for name in manifest["instances"])
-    by_id = {job.id: job for job in instances[-1].jobs}
+    by_id = {job.id: job for inst in instances for job in inst.jobs}
+    unknown = [i for bundle_ids in manifest["bundles"] for i in bundle_ids if i not in by_id]
+    if unknown:
+        raise ValueError(f"family: bundle job ids {unknown} are in no instance")
     bundles = tuple(
         tuple(by_id[job_id] for job_id in bundle_ids)
         for bundle_ids in manifest["bundles"]

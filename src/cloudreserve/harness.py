@@ -23,7 +23,6 @@ from .mechanisms import (
     Coins,
     MechanismConfig,
     ceil_log2,
-    coin_levels,
     coin_space,
     evaluate_arrival,
     run_sequence,
@@ -35,7 +34,6 @@ from .model import (
     format_rational,
     rational_to_decimal,
     realized_bounds,
-    require_valid,
     to_count,
     to_flag,
 )
@@ -109,7 +107,7 @@ def claimed_bound(config: MechanismConfig, inst: Instance) -> Fraction:
     else:
         alpha = _require_alpha(config)
         base = (1 - alpha) / (11 - alpha)
-    level_k, level_t = coin_levels(config.bounds) if config.banded else (1, 1)
+    level_k, level_t = config.levels
     return base / (level_k * level_t)
 
 
@@ -134,7 +132,6 @@ def exact_expectation(
     instance_id: str = "instance",
 ) -> RatioReport:
     """Exact expected welfare/revenue against the offline optimum."""
-    require_valid(inst)
     bound = claimed_bound(config, inst)
     expected_welfare, expected_revenue, count = expected_performance(config, inst)
     opt = optimal_welfare(inst).opt_welfare
@@ -193,8 +190,7 @@ def binary_filter_band_checks(config: MechanismConfig, inst: Instance) -> tuple[
     """
     if config.kind != BINARY_FILTER:
         raise ValueError("band checks apply to the binary-filter mechanism")
-    require_valid(inst)
-    level_k, level_t = coin_levels(config.bounds)
+    level_k, level_t = config.levels
     checks = []
     for u in range(1, level_k + 1):
         for v in range(1, level_t + 1):
@@ -270,7 +266,7 @@ def yao_evaluate(family: YaoFamily, family_id: Optional[str] = None) -> YaoRepor
         opt = optimal_welfare(inst).opt_welfare
         bundle_value = sum((job.v for job in family.bundles[idx - 1]), Fraction(0))
         if opt != bundle_value:
-            raise RuntimeError(
+            raise ValueError(
                 f"instance {idx}: offline optimum {opt} is not the newest "
                 f"bundle's value {bundle_value}"
             )
@@ -447,7 +443,6 @@ def truthfulness_audit(
     is settled at its own arrival, so each deviation re-evaluates a single
     decision against the shared truthful prefix timeline.
     """
-    require_valid(inst)
     prefix_timelines: list[CapacityTimeline] = []
     truthful_utilities: list[Fraction] = []
     timeline = CapacityTimeline.empty(config.capacity)

@@ -24,7 +24,7 @@ so one formula prices every kind.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from typing import Optional
@@ -34,7 +34,6 @@ from .model import (
     Instance,
     MarketBounds,
     Reservation,
-    require_valid,
     to_rational,
 )
 from .timeline import CapacityTimeline
@@ -71,6 +70,8 @@ class MechanismConfig:
     bounds: MarketBounds
     capacity: int
     alpha: Optional[Fraction] = None  # demand cap c/C <= alpha, needed for bound claims
+    # (L_k, L_T) for banded kinds, (1, 1) otherwise: the range of coins u and v
+    levels: tuple[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in MECHANISM_KINDS:
@@ -82,6 +83,7 @@ class MechanismConfig:
             object.__setattr__(self, "alpha", alpha)
             if not (0 < alpha <= Fraction(1, 2)):
                 raise ValueError("alpha must lie in (0, 1/2]")
+        object.__setattr__(self, "levels", coin_levels(self.bounds) if self.banded else (1, 1))
 
     @property
     def capacity_coin(self) -> bool:
@@ -119,7 +121,7 @@ def draw_coins(config: MechanismConfig, seed: int) -> Coins:
     rng = random.Random(seed)
     if not config.banded:
         return Coins(i=rng.randint(0, 1))
-    level_k, level_t = coin_levels(config.bounds)
+    level_k, level_t = config.levels
     u = rng.randint(1, level_k)
     v = rng.randint(1, level_t)
     return Coins(i=rng.randint(0, 1), u=u, v=v)
@@ -130,7 +132,7 @@ def coin_space(config: MechanismConfig) -> tuple[Coins, ...]:
     exact expectations; greedy reads no coin, so its space is one tuple."""
     bands = ((None, None),)
     if config.banded:
-        level_k, level_t = coin_levels(config.bounds)
+        level_k, level_t = config.levels
         bands = product(range(1, level_k + 1), range(1, level_t + 1))
     capacity_coins = (0, 1) if config.capacity_coin else (0,)
     return tuple(Coins(i=i, u=u, v=v) for u, v in bands for i in capacity_coins)
@@ -146,10 +148,14 @@ def quote_price(config: MechanismConfig, coins: Coins, job: Reservation) -> Frac
     is the kind's own row of the module's table.  Outside those bounds the
     pinned factors still apply: random-pricing and greedy floor the length
     at t_min, and greedy and bounded-binary-filter floor the demand at 1.
+    Band coins outside the coin space [1, L_k] x [1, L_T] are rejected.
     """
     u, v = (coins.u, coins.v) if config.banded else (1, 1)
     if u is None or v is None:
         raise ValueError(f"{config.kind} requires u and v coins")
+    level_k, level_t = config.levels
+    if not (1 <= u <= level_k and 1 <= v <= level_t):
+        raise ValueError(f"coins u={u}, v={v} outside [1, {level_k}] x [1, {level_t}]")
     bounds = config.bounds
     threshold = Fraction(config.capacity, 2) if config.capacity_coin and coins.i == 1 else 1
     density_step = 2 ** (u - 1)
@@ -193,7 +199,6 @@ class Outcome:
 
 def run_sequence(config: MechanismConfig, coins: Coins, inst: Instance) -> Outcome:
     """Fold the online mechanism over the instance's arrival order."""
-    require_valid(inst)
     timeline = CapacityTimeline.empty(config.capacity)
     decisions: list[tuple[str, Decision]] = []
     welfare = Fraction(0)

@@ -21,7 +21,7 @@ INSTANCE_FORMAT_VERSION = 1
 
 
 class InvalidInstanceError(ValueError):
-    """An operation that requires a clean instance found validation violations."""
+    """Raised by the ``Instance`` constructor; ``violations`` lists every violation."""
 
     def __init__(self, violations: Sequence[str]):
         self.violations = list(violations)
@@ -160,7 +160,9 @@ class Instance:
     """Capacity, market bounds, and jobs in arrival (submission) order.
 
     The job order is the online order: a mechanism deciding jobs[i] must never
-    look at jobs[i+1:].
+    look at jobs[i+1:].  Valid by construction: the constructor (so also
+    ``dataclasses.replace`` and the file codec) raises ``InvalidInstanceError``
+    listing every violation ``validate_instance`` finds.
     """
 
     capacity: int
@@ -169,6 +171,9 @@ class Instance:
 
     def __post_init__(self) -> None:
         coerce_fields(self, "instance", capacity=to_count, jobs=tuple)
+        violations = validate_instance(self)
+        if violations:
+            raise InvalidInstanceError(violations)
 
 
 @dataclass(frozen=True)
@@ -181,7 +186,7 @@ class Decision:
 
 
 def validate_instance(inst: Instance) -> list[str]:
-    """Collect every invariant violation; an empty list means the instance is clean.
+    """Every invariant violation; the ``Instance`` constructor raises unless it is empty.
 
     Violations are data, not faults: each entry names the job (or "bounds" /
     "instance") and the failed predicate.
@@ -221,12 +226,6 @@ def validate_instance(inst: Instance) -> list[str]:
         if not (b.rho_min <= rho <= b.rho_max):
             violations.append(f"job {job.id}: density outside market bounds")
     return violations
-
-
-def require_valid(inst: Instance) -> None:
-    violations = validate_instance(inst)
-    if violations:
-        raise InvalidInstanceError(violations)
 
 
 def realized_bounds(inst: Instance) -> Optional[MarketBounds]:

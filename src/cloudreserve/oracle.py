@@ -115,8 +115,6 @@ def subset_feasible(
             return True
         job = jobs[index]
         free = inst.capacity - job.c
-        if free < 0:
-            return False
         for s in _window_candidates(job, starts):
             budget.charge()
             if timeline.max_usage(s, s + job.t) <= free:
@@ -131,12 +129,7 @@ def subset_feasible(
     return None
 
 
-def optimal_welfare(
-    inst: Instance,
-    *,
-    job_cap: int = DEFAULT_JOB_CAP,
-    node_cap: int = DEFAULT_NODE_CAP,
-) -> OracleResult:
+def optimal_welfare(inst: Instance, *, node_cap: int = DEFAULT_NODE_CAP) -> OracleResult:
     """Exact maximum welfare over feasibly schedulable job subsets.
 
     Jobs are branched in descending value order; a node is cut when even
@@ -144,9 +137,9 @@ def optimal_welfare(
     branch is cut as soon as the chosen set itself has no witness
     (infeasibility is monotone under adding jobs).
     """
-    if len(inst.jobs) > job_cap:
+    if len(inst.jobs) > DEFAULT_JOB_CAP:
         raise OracleCapExceeded(
-            f"instance with {len(inst.jobs)} jobs exceeds the {job_cap}-job cap", 0
+            f"instance with {len(inst.jobs)} jobs exceeds the {DEFAULT_JOB_CAP}-job cap", 0
         )
     budget = _Budget(node_cap)
     jobs = sorted(inst.jobs, key=lambda job: (-job.v, job.id))

@@ -152,10 +152,25 @@ def test_audit_clean_mechanism_exits_zero(tmp_path):
     assert payload["deviations_tested"] > 20
 
 
-def test_invalid_instance_surfaces_violations(tmp_path):
-    bad = instance(8, [job("x", 0, 1, 2, 1, 2)], t_max=2)  # length exceeds window
+# An Instance cannot hold these faults, so each is a dict edit of a valid file.
+INVALID_EDITS = {
+    "length-exceeds-window": (lambda data: data["jobs"][0].update(d="1"), "length exceeds window"),
+    "duplicate-id": (lambda data: data["jobs"].append(dict(data["jobs"][0])), "job x: duplicate id"),
+    "zero-length": (lambda data: data["jobs"][0].update(t="0"), "job x: length must be positive"),
+}
+
+
+def write_invalid_instance(tmp_path, case):
+    edit, _ = INVALID_EDITS[case]
+    data = cloudreserve.instance_to_dict(instance(8, [job("x", 0, 10, 2, 3, 6)]))
+    edit(data)
     path = tmp_path / "bad.json"
-    cloudreserve.save_instance(bad, path)
+    path.write_text(json.dumps(data))
+    return path
+
+
+def test_invalid_instance_surfaces_violations(tmp_path):
+    path = write_invalid_instance(tmp_path, "length-exceeds-window")
     result = invoke("run", "--mechanism", "greedy", "--instance", str(path), "--seed", "0")
     assert result.exit_code == 2
     assert "length exceeds window" in result.output
@@ -197,12 +212,74 @@ def test_unversioned_instance_exits_2(tmp_path, command):
     assert_input_error(result, "unsupported instance format version: None")
 
 
-def test_audit_invalid_instance_exits_2(tmp_path):
-    bad = instance(8, [job("x", 0, 1, 2, 1, 2)], t_max=2)  # length exceeds window
-    path = tmp_path / "bad.json"
-    cloudreserve.save_instance(bad, path)
-    result = invoke(*INSTANCE_COMMANDS["audit"], "--instance", str(path))
-    assert_input_error(result, "length exceeds window")
+@pytest.mark.parametrize("case", sorted(INVALID_EDITS))
+@pytest.mark.parametrize("command", sorted(INSTANCE_COMMANDS))
+def test_invalid_instance_exits_2(tmp_path, command, case):
+    path = write_invalid_instance(tmp_path, case)
+    result = invoke(*INSTANCE_COMMANDS[command], "--instance", str(path))
+    assert_input_error(result, INVALID_EDITS[case][1])
+
+
+def test_gen_random_zero_rho_min_exits_2(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "job_count": 1, "capacity": 8,
+        "bounds": {"rho_min": "0", "rho_max": "2", "t_min": "1", "t_max": "2"},
+        "arrivals": ["0"], "slacks": ["0"], "lengths": ["1"], "demands": [1],
+        "densities": ["1"],
+    }))
+    result = invoke("gen", "random", "--spec", str(spec), "--out", str(tmp_path / "i.json"))
+    assert_input_error(result, "bounds: rho_min and t_min must be positive")
+
+
+def edit_family_files(fam, names, edit):
+    for name in names:
+        path = fam / name
+        data = json.loads(path.read_text())
+        edit(data)
+        path.write_text(json.dumps(data))
+
+
+def double_first_value(data):
+    data["jobs"][0]["v"] = "12"  # B1-1 at C = 8: density 1 becomes 2, still in bounds
+
+
+YAO_FAULTS = {
+    # I01 alone no longer holds bundle 1
+    "edited-instance": (
+        lambda fam: edit_family_files(fam, ["I01.json"], double_first_value),
+        "family: instance 1 is not bundles 1..1 at capacity 8",
+    ),
+    "unknown-bundle-job": (
+        lambda fam: edit_family_files(
+            fam, ["family.json"], lambda manifest: manifest["bundles"][-1].append("B9-9")
+        ),
+        "bundle job ids ['B9-9'] are in no instance",
+    ),
+    "empty-ladder": (
+        lambda fam: edit_family_files(
+            fam, ["family.json"], lambda manifest: manifest.update(bundles=[], instances=[])
+        ),
+        "family: 0 instances for 0 bundles",
+    ),
+    # a consistent ladder whose bundle 1 outweighs bundle 2
+    "optimum-not-newest": (
+        lambda fam: edit_family_files(
+            fam, [f"I{i:02d}.json" for i in range(1, 7)], double_first_value
+        ),
+        "instance 2: offline optimum 12 is not the newest bundle's value 10",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(YAO_FAULTS))
+def test_yao_malformed_family_exits_2(tmp_path, case):
+    fam = tmp_path / "fam"
+    invoke("gen", "theorem3", "--capacity", "8", "--epsilon", "1/10", "--out", str(fam))
+    edit, message = YAO_FAULTS[case]
+    edit(fam)
+    result = invoke("yao", "--family", str(fam))
+    assert_input_error(result, message)
 
 
 def test_yao_manifest_without_instances_exits_2(tmp_path):

@@ -109,6 +109,18 @@ def test_binary_filter_requires_band_coins():
         quote_price(cfg, Coins(i=0), job("x", 0, 10, 2, 1, 4))
 
 
+def test_band_coins_outside_the_coin_space_are_rejected():
+    j = job("x", 0, 10, 2, 1, 4)
+    for kind in (BINARY_FILTER, BOUNDED_BINARY_FILTER):
+        cfg = config(kind, rho_max=8, t_max=4, alpha=Fraction(1, 2))
+        assert cfg.levels == (3, 2)
+        for u, v in ((0, 1), (1, 0), (4, 1), (1, 3)):
+            with pytest.raises(ValueError, match=f"coins u={u}, v={v} outside"):
+                quote_price(cfg, Coins(i=0, u=u, v=v), j)
+    with pytest.raises(ValueError, match="coins u=0, v=1 outside"):
+        run_sequence(config(BINARY_FILTER), Coins(i=0, u=0, v=1), instance(8, [j]))
+
+
 def test_price_independent_of_value_window_and_history():
     base = job("x", 0, 10, 2, 3, 100)
     for kind in MECHANISM_KINDS:

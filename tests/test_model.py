@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cloudreserve import (
+    InvalidInstanceError,
     MarketBounds,
     format_rational,
     gen_theorem3,
@@ -71,9 +72,16 @@ def test_density_and_slack():
     assert j.slack == 8
 
 
+def violations_of(capacity, jobs, **bounds) -> list[str]:
+    """The violations an invalid instance's constructor raises."""
+    with pytest.raises(InvalidInstanceError) as excinfo:
+        instance(capacity, jobs, **bounds)
+    return excinfo.value.violations
+
+
 def test_length_exceeds_window_violation():
-    inst = instance(4, [job("bad", 0, 2, 3, 1, 3)], t_max=3)
-    assert any("length exceeds window" in v for v in validate_instance(inst))
+    violations = violations_of(4, [job("bad", 0, 2, 3, 1, 3)], t_max=3)
+    assert any("length exceeds window" in v for v in violations)
 
 
 def test_boundary_density_is_member():
@@ -95,17 +103,16 @@ def test_theorem3_first_bundle_validates():
 
 
 def test_validation_catches_bounds_and_demand():
-    inst = instance(2, [job("big", 0, 4, 2, 3, 4)])
-    violations = validate_instance(inst)
+    violations = violations_of(2, [job("big", 0, 4, 2, 3, 4)])
     assert any("demand exceeds capacity" in v for v in violations)
 
-    skewed = instance(4, [job("hot", 0, 2, 1, 1, 5)])  # density 5 above rho_max 2
-    assert any("density outside market bounds" in v for v in validate_instance(skewed))
+    skewed = violations_of(4, [job("hot", 0, 2, 1, 1, 5)])  # density 5 above rho_max 2
+    assert any("density outside market bounds" in v for v in skewed)
 
 
 def test_duplicate_ids_flagged():
-    inst = instance(4, [job("a", 0, 2, 1, 1, 1), job("a", 0, 2, 1, 1, 1)])
-    assert any("duplicate id" in v for v in validate_instance(inst))
+    violations = violations_of(4, [job("a", 0, 2, 1, 1, 1), job("a", 0, 2, 1, 1, 1)])
+    assert any("duplicate id" in v for v in violations)
 
 
 def test_realized_bounds():

@@ -62,7 +62,7 @@ def test_job_cap_fault():
 
 
 def test_node_cap_reports_progress():
-    jobs = [job(f"j{k}", 0, 12, 2, 1, 1) for k in range(10)]
+    jobs = [job(f"j{k}", 0, 12, 2, 1, 2) for k in range(10)]
     inst = instance(4, jobs, t_max=2)
     with pytest.raises(OracleCapExceeded) as excinfo:
         optimal_welfare(inst, node_cap=10)

@@ -44,3 +44,25 @@ def test_only_model_coerces_with_int_or_bool():
     assert modules
     violations = [line for path in modules for line in builtin_coercions(path)]
     assert violations == []
+
+
+def validation_outside_model(path: Path) -> list[str]:
+    """Calls of ``validate_instance`` and definitions of ``require_valid``:
+    the ``Instance`` constructor is the one place an instance is validated."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.FunctionDef) and node.name == "require_valid":
+            found.append(f"{path.name}:{node.lineno}: def require_valid")
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "validate_instance":
+                found.append(f"{path.name}:{node.lineno}: validate_instance(...)")
+    return found
+
+
+def test_only_model_validates_instances():
+    modules = sorted(path for path in PACKAGE_DIR.glob("*.py") if path.name != "model.py")
+    assert modules
+    violations = [line for path in modules for line in validation_outside_model(path)]
+    assert violations == []
