@@ -56,6 +56,10 @@ class YaoFamily:
         optional = {"epsilon": to_rational, "n": to_count, "m": to_count}
         optional = {name: c for name, c in optional.items() if getattr(self, name) is not None}
         coerce_fields(self, "family", capacity=to_count, **optional)
+        if self.kind not in (THEOREM3, THEOREM5):
+            raise ValueError(f"family: unknown kind {self.kind!r}")
+        if self.kind == THEOREM5 and (self.n is None or self.m is None):
+            raise ValueError("family: a theorem5 family needs 'n' and 'm'")
         if not self.bundles or len(self.instances) != self.size:
             raise ValueError(
                 f"family: {len(self.instances)} instances for {self.size} bundles; "
@@ -207,11 +211,9 @@ def limit_value_coefs(family: YaoFamily) -> dict[str, Fraction]:
     if family.kind == THEOREM3:
         low = _theorem3_bundles(16, Fraction(0))
         high = _theorem3_bundles(32, Fraction(0))
-    elif family.kind == THEOREM5:
+    else:
         low = _theorem5_bundles(family.n, family.m, 16)
         high = _theorem5_bundles(family.n, family.m, 32)
-    else:
-        raise ValueError(f"unknown family kind {family.kind!r}")
     low_values = {job.id: job.v for bundle in low for job in bundle}
     high_values = {job.id: job.v for bundle in high for job in bundle}
     return {

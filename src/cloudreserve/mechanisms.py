@@ -78,6 +78,14 @@ class MechanismConfig:
             raise ValueError(f"unknown mechanism kind {self.kind!r}")
         if self.capacity < 1:
             raise ValueError("capacity must be >= 1")
+        bounds = self.bounds
+        for name, low in (("rho_min", bounds.rho_min), ("t_min", bounds.t_min)):
+            if low <= 0:
+                raise ValueError(f"bounds: {name} must be positive, got {low}")
+        if bounds.rho_max < bounds.rho_min:
+            raise ValueError("bounds: rho_max must be at least rho_min")
+        if bounds.t_max < bounds.t_min:
+            raise ValueError("bounds: t_max must be at least t_min")
         if self.alpha is not None:
             alpha = to_rational(self.alpha)
             object.__setattr__(self, "alpha", alpha)

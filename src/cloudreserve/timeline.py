@@ -4,16 +4,25 @@ Timelines are persistent values: ``commit`` returns a new timeline and leaves
 the original untouched, so callers can replay a shared prefix and branch on
 counterfactuals cheaply.  Occupation intervals are half-open [s, s+t): a job
 ending at time x never conflicts with one starting at x.
+
+``commit`` splices only the committed range into the profile: two bisections
+find it, its levels are raised, and the untouched head and tail are shared
+slices of the old profile, so a commit costs O(log B + W) comparisons for B
+breakpoints of which W lie in the range.  ``earliest_feasible_start`` is one
+forward sweep that visits each segment after the release at most once.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Optional
 
 from .model import Reservation
+
+_time = itemgetter(0)
 
 
 class CapacityError(RuntimeError):
@@ -32,9 +41,6 @@ class CapacityTimeline:
     capacity: int
     points: tuple[tuple[Fraction, int], ...] = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_times", tuple(t for t, _ in self.points))
-
     @staticmethod
     def empty(capacity: int) -> "CapacityTimeline":
         if capacity < 1:
@@ -42,7 +48,7 @@ class CapacityTimeline:
         return CapacityTimeline(capacity=capacity)
 
     def usage_at(self, at: Fraction) -> int:
-        idx = bisect_right(self._times, at) - 1
+        idx = bisect_right(self.points, at, key=_time) - 1
         if idx < 0:
             return 0
         return self.points[idx][1]
@@ -56,7 +62,7 @@ class CapacityTimeline:
         if end <= start:
             return 0
         peak = 0
-        idx = bisect_right(self._times, start) - 1
+        idx = bisect_right(self.points, start, key=_time) - 1
         if idx >= 0:
             peak = self.points[idx][1]
         for k in range(idx + 1, len(self.points)):
@@ -68,9 +74,11 @@ class CapacityTimeline:
     def earliest_feasible_start(self, job: Reservation) -> Optional[Fraction]:
         """Minimum s in [a, d-t] with residual >= c throughout [s, s+t), if any.
 
-        Candidate starts are the release a and every breakpoint inside
-        (a, d-t]: usage is piecewise constant, so a minimal feasible start is
-        either the release or a time where usage drops, which is a breakpoint.
+        Sweeps forward from s = a over the segments under [s, s+t).  A segment
+        whose level exceeds C - c rules out every start before its end, so s
+        jumps to the next breakpoint and the walk goes on from there; a minimal
+        feasible start is therefore the release or a breakpoint, and each
+        segment is visited at most once.
         """
         latest = job.d - job.t
         if latest < job.a:
@@ -78,15 +86,23 @@ class CapacityTimeline:
         free = self.capacity - job.c
         if free < 0:
             return None
-        if self.max_usage(job.a, job.a + job.t) <= free:
-            return job.a
-        lo = bisect_right(self._times, job.a)
-        hi = bisect_right(self._times, latest)
-        for k in range(lo, hi):
-            s = self.points[k][0]
-            if self.max_usage(s, s + job.t) <= free:
-                return s
-        return None
+        points = self.points
+        count = len(points)
+        start = job.a
+        end = start + job.t
+        k = bisect_right(points, start, key=_time)  # first breakpoint after start
+        level = points[k - 1][1] if k else 0  # level of the segment holding start
+        while True:
+            if level > free:
+                if k == count or points[k][0] > latest:
+                    return None
+                start, level = points[k]
+                end = start + job.t
+            elif k == count or points[k][0] >= end:
+                return start
+            else:
+                level = points[k][1]
+            k += 1
 
     def commit(self, job: Reservation, start: Fraction) -> "CapacityTimeline":
         """A new timeline with usage raised by job.c on [start, start + job.t)."""
@@ -95,18 +111,28 @@ class CapacityTimeline:
     def _add(self, start: Fraction, end: Fraction, amount: int) -> "CapacityTimeline":
         if end <= start:
             raise ValueError("empty occupation interval")
-        marks = sorted({start, end, *self._times})
-        new_points: list[tuple[Fraction, int]] = []
-        previous_level = 0
-        for mark in marks:
-            level = self.usage_at(mark)
-            if start <= mark < end:
-                level += amount
-            if level > self.capacity:
-                raise CapacityError(
-                    f"usage {level} exceeds capacity {self.capacity} at {mark}"
-                )
-            if level != previous_level:
-                new_points.append((mark, level))
-                previous_level = level
-        return CapacityTimeline(capacity=self.capacity, points=tuple(new_points))
+        points = self.points
+        count = len(points)
+        i = bisect_left(points, start, key=_time)
+        j = bisect_left(points, end, key=_time)
+        before = points[i - 1][1] if i else 0
+        level, first = before, i
+        if i < count and points[i][0] == start:
+            level, first = points[i][1], i + 1
+        raised = [(start, level + amount)]
+        raised.extend((time, old + amount) for time, old in points[first:j])
+        for time, new in raised:
+            if new > self.capacity:
+                raise CapacityError(f"usage {new} exceeds capacity {self.capacity} at {time}")
+        if j < count and points[j][0] == end:
+            after, tail = points[j][1], points[j + 1:]
+        else:
+            after, tail = (points[j - 1][1] if j else 0), points[j:]
+        # keep the profile canonical: a seam point equal to its neighbour goes
+        if after != raised[-1][1]:
+            tail = ((end, after),) + tail
+        if raised[0][1] == before:
+            del raised[0]
+        return CapacityTimeline(
+            capacity=self.capacity, points=points[:i] + tuple(raised) + tail
+        )

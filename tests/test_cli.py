@@ -282,6 +282,32 @@ def test_yao_malformed_family_exits_2(tmp_path, case):
     assert_input_error(result, message)
 
 
+YAO_KIND_FAULTS = {
+    "theorem5-without-n": (
+        ["theorem5", "--n", "2", "--m", "1"], lambda manifest: manifest.pop("n"),
+        "family: a theorem5 family needs 'n' and 'm'",
+    ),
+    "theorem3-relabelled": (
+        ["theorem3", "--epsilon", "1/10"], lambda manifest: manifest.update(kind="theorem5"),
+        "family: a theorem5 family needs 'n' and 'm'",
+    ),
+    "unknown-kind": (
+        ["theorem3", "--epsilon", "1/10"], lambda manifest: manifest.update(kind="theorem4"),
+        "family: unknown kind 'theorem4'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(YAO_KIND_FAULTS))
+def test_yao_family_kind_parameters_exit_2(tmp_path, case):
+    gen_args, edit, message = YAO_KIND_FAULTS[case]
+    fam = tmp_path / "fam"
+    invoke("gen", *gen_args, "--capacity", "8", "--out", str(fam))
+    edit_family_files(fam, ["family.json"], edit)
+    result = invoke("yao", "--family", str(fam))
+    assert_input_error(result, message)
+
+
 def test_yao_manifest_without_instances_exits_2(tmp_path):
     fam = tmp_path / "fam"
     invoke("gen", "theorem5", "--n", "2", "--m", "1", "--capacity", "8", "--out", str(fam))

@@ -121,6 +121,20 @@ def test_band_coins_outside_the_coin_space_are_rejected():
         run_sequence(config(BINARY_FILTER), Coins(i=0, u=0, v=1), instance(8, [j]))
 
 
+@pytest.mark.parametrize("kind", MECHANISM_KINDS)
+def test_config_rejects_out_of_order_or_non_positive_bounds(kind):
+    for bad, message in (
+        (dict(rho_min=0), "rho_min must be positive"),
+        (dict(rho_min=-1), "rho_min must be positive"),
+        (dict(t_min=0), "t_min must be positive"),
+        (dict(t_min=-1), "t_min must be positive"),
+        (dict(rho_min=3), "rho_max must be at least rho_min"),
+        (dict(t_min=3), "t_max must be at least t_min"),
+    ):
+        with pytest.raises(ValueError, match=f"bounds: {message}"):
+            config(kind, **bad)
+
+
 def test_price_independent_of_value_window_and_history():
     base = job("x", 0, 10, 2, 3, 100)
     for kind in MECHANISM_KINDS:

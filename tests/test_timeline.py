@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import timeline_reference as reference
 from cloudreserve import CapacityError, CapacityTimeline
 from conftest import job
 
@@ -134,3 +135,87 @@ def test_committed_usage_never_exceeds_capacity(entries):
         probe = Fraction(x, 1)
         used = sum(c for (s, t, c) in committed if s <= probe < s + t)
         assert used == tl.usage_at(probe) <= capacity
+
+
+# --- differential check against the reference timeline --------------------
+
+
+def quarters(count: int) -> Fraction:
+    return Fraction(count, 4)
+
+
+@st.composite
+def rational_profiles(draw):
+    """A capacity and up to 60 arrivals on a quarter grid; an arrival may force
+    its commit at an arbitrary start instead of its earliest feasible one."""
+    capacity = draw(st.integers(min_value=1, max_value=64))
+    arrivals = draw(st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=80),  # release, in quarters
+            st.integers(min_value=1, max_value=24),  # length, in quarters
+            st.integers(min_value=0, max_value=32),  # slack, in quarters
+            st.integers(min_value=1, max_value=capacity + 1),  # demand
+            st.none() | st.integers(min_value=0, max_value=120),  # forced start, in quarters
+        ),
+        max_size=60,
+    ))
+    jobs = [
+        (job(f"j{idx}", quarters(a), quarters(a + t + slack), quarters(t), c, 1),
+         None if forced is None else quarters(forced))
+        for idx, (a, t, slack, c, forced) in enumerate(arrivals)
+    ]
+    return capacity, jobs
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_profiles())
+def test_matches_reference_timeline(profile):
+    capacity, jobs = profile
+    fast = CapacityTimeline.empty(capacity)
+    slow = reference.CapacityTimeline.empty(capacity)
+    for j, forced in jobs:
+        start = fast.earliest_feasible_start(j)
+        assert start == slow.earliest_feasible_start(j)
+        if forced is not None:
+            start = forced
+        if start is None:
+            continue
+        try:
+            expected = slow.commit(j, start)
+        except reference.CapacityError as exc:
+            with pytest.raises(CapacityError) as caught:
+                fast.commit(j, start)
+            assert str(caught.value) == str(exc)
+            continue
+        committed = fast.commit(j, start)
+        assert committed.points == expected.points
+        assert fast.points == slow.points  # the input timeline is unchanged
+        fast, slow = committed, expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_profiles())
+def test_commits_keep_the_profile_canonical(profile):
+    capacity, jobs = profile
+    tl = CapacityTimeline.empty(capacity)
+    committed = []
+    for j, forced in jobs:
+        start = tl.earliest_feasible_start(j) if forced is None else forced
+        if start is None:
+            continue
+        try:
+            tl = tl.commit(j, start)
+        except CapacityError:
+            continue
+        committed.append((start, start + j.t, j.c))
+    times = [time for time, _ in tl.points]
+    levels = [level for _, level in tl.points]
+    assert all(x < y for x, y in zip(times, times[1:]))
+    assert all(x != y for x, y in zip([0] + levels, levels))  # usage is 0 before the first
+    assert all(0 <= level <= capacity for level in levels)
+    assert not levels or levels[-1] == 0
+    probes = times + [(x + y) / 2 for x, y in zip(times, times[1:])]
+    if times:
+        probes += [times[0] - 1, times[-1] + 1]
+    for at in probes:
+        assert tl.usage_at(at) == sum(c for s, e, c in committed if s <= at < e)
