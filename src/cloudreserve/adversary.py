@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .model import (
     Instance,
@@ -25,6 +25,7 @@ from .model import (
     bounds_to_dict,
     coerce_fields,
     format_rational,
+    json_shape,
     load_instance,
     realized_bounds,
     save_instance,
@@ -226,6 +227,18 @@ def limit_value_coefs(family: YaoFamily) -> dict[str, Fraction]:
 # Seeded random workloads.
 
 
+def _choice_set(convert: Callable) -> Callable:
+    """Converter of a list or tuple of choices, each through ``convert``.  A
+    string is a sequence too, and "17" would otherwise be the choices 1 and 7."""
+
+    def coerce(values) -> tuple:
+        if not isinstance(values, (list, tuple)):
+            raise TypeError(f"expected a list of choices, got {values!r}")
+        return tuple(convert(x) for x in values)
+
+    return coerce
+
+
 @dataclass(frozen=True)
 class RandomWorkloadSpec:
     """Uniform draws over finite rational choice sets, one set per field.
@@ -246,14 +259,12 @@ class RandomWorkloadSpec:
     tighten_bounds: bool = False  # re-declare bounds as the realized envelope
 
     def __post_init__(self) -> None:
-        def rationals(values) -> tuple[Fraction, ...]:
-            return tuple(to_rational(x) for x in values)
-
+        rationals = _choice_set(to_rational)
         coerce_fields(
             self, "workload spec",
             job_count=to_count, capacity=to_count, arrivals=rationals, slacks=rationals,
-            lengths=rationals, demands=lambda values: tuple(to_count(x) for x in values),
-            densities=rationals, seed=to_count, tighten_bounds=to_flag,
+            lengths=rationals, demands=_choice_set(to_count), densities=rationals,
+            seed=to_count, tighten_bounds=to_flag,
         )
         self._check()
 
@@ -277,6 +288,7 @@ class RandomWorkloadSpec:
 
     @staticmethod
     def from_dict(data: dict) -> "RandomWorkloadSpec":
+        json_shape(data, dict, "workload spec")
         return RandomWorkloadSpec(
             job_count=data["job_count"],
             capacity=data["capacity"],
@@ -308,18 +320,23 @@ class RandomWorkloadSpec:
 def gen_random(spec: RandomWorkloadSpec, seed: Optional[int] = None) -> Instance:
     """Deterministic-in-seed workload; invalid declared bounds raise ``InvalidInstanceError``."""
     rng = random.Random(spec.seed if seed is None else seed)
+    # Each choice beside its integer ratio: a draw picks the same index as a
+    # draw from the bare choice set, and d = a + t + slack and v = rho c t
+    # are each built as one Fraction instead of two Fraction operations.
+    arrivals, lengths, slacks, densities = (
+        [(x, *x.as_integer_ratio()) for x in choices]
+        for choices in (spec.arrivals, spec.lengths, spec.slacks, spec.densities)
+    )
     jobs = []
     for idx in range(spec.job_count):
-        a = rng.choice(spec.arrivals)
-        t = rng.choice(spec.lengths)
-        slack = rng.choice(spec.slacks)
+        a, a_n, a_d = rng.choice(arrivals)
+        t, t_n, t_d = rng.choice(lengths)
+        _, s_n, s_d = rng.choice(slacks)
         c = rng.choice(spec.demands)
-        rho = rng.choice(spec.densities)
-        jobs.append(
-            Reservation(
-                id=f"j{idx:02d}", a=a, d=a + t + slack, t=t, c=c, v=rho * c * t
-            )
-        )
+        _, r_n, r_d = rng.choice(densities)
+        d = Fraction((a_n * t_d + t_n * a_d) * s_d + s_n * a_d * t_d, a_d * t_d * s_d)
+        v = Fraction(r_n * c * t_n, r_d * t_d)
+        jobs.append(Reservation(id=f"j{idx:02d}", a=a, d=d, t=t, c=c, v=v))
     inst = Instance(capacity=spec.capacity, bounds=spec.bounds, jobs=tuple(jobs))
     if spec.tighten_bounds and jobs:
         inst = replace(inst, bounds=realized_bounds(inst))
@@ -356,19 +373,26 @@ def save_family(family: YaoFamily, out_dir: Union[str, Path]) -> Path:
 
 def load_family(directory: Union[str, Path]) -> YaoFamily:
     root = Path(directory)
-    manifest = json.loads(Path(root, "family.json").read_text())
+    manifest = json_shape(json.loads(Path(root, "family.json").read_text()), dict, "family")
     version = manifest.get("version")
     if version != FAMILY_FORMAT_VERSION:
         raise ValueError(f"unsupported family format version: {version!r}")
-    instances = tuple(load_instance(Path(root, name)) for name in manifest["instances"])
+    names = json_shape(manifest["instances"], list, "family: field 'instances'")
+    instances = tuple(
+        load_instance(Path(root, json_shape(name, str, f"family: instances[{index}]")))
+        for index, name in enumerate(names)
+    )
     by_id = {job.id: job for inst in instances for job in inst.jobs}
-    unknown = [i for bundle_ids in manifest["bundles"] for i in bundle_ids if i not in by_id]
+    bundle_lists = json_shape(manifest["bundles"], list, "family: field 'bundles'")
+    for index, bundle_ids in enumerate(bundle_lists):
+        json_shape(bundle_ids, list, f"family: bundles[{index}]")
+    unknown = [
+        i for bundle_ids in bundle_lists for i in bundle_ids
+        if not isinstance(i, str) or i not in by_id
+    ]
     if unknown:
         raise ValueError(f"family: bundle job ids {unknown} are in no instance")
-    bundles = tuple(
-        tuple(by_id[job_id] for job_id in bundle_ids)
-        for bundle_ids in manifest["bundles"]
-    )
+    bundles = tuple(tuple(by_id[job_id] for job_id in bundle_ids) for bundle_ids in bundle_lists)
     return YaoFamily(
         kind=manifest["kind"],
         capacity=manifest["capacity"],

@@ -32,6 +32,7 @@ from .model import (
     Reservation,
     coerce_fields,
     format_rational,
+    json_shape,
     rational_to_decimal,
     realized_bounds,
     to_count,
@@ -359,6 +360,7 @@ class DeviationGrid:
 
     @staticmethod
     def from_dict(data: dict) -> "DeviationGrid":
+        json_shape(data, dict, "deviation grid")
         return DeviationGrid(
             points_per_dim=data.get("points_per_dim", 5),
             include_corners=data.get("include_corners", False),

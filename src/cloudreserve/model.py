@@ -32,12 +32,12 @@ def to_rational(value: RationalLike) -> Fraction:
     """Coerce an int, Fraction, or "num/den" string to an exact Fraction."""
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, str):
+        return parse_rational(value)
     if isinstance(value, bool):
         raise TypeError("booleans are not rationals")
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str):
-        return parse_rational(value)
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 
@@ -65,17 +65,33 @@ def coerce_fields(obj, owner: str, **converters: Callable) -> None:
             raise ValueError(f"{owner}: field {name!r}: {exc}") from exc
 
 
+_JSON_TYPES = {dict: "object", list: "array", str: "string", bool: "boolean",
+               int: "number", float: "number", type(None): "null"}
+
+
+def json_shape(value, shape: type, owner: str):
+    """``value`` if it has the JSON shape ``shape`` (``dict`` for an object,
+    ``list`` for an array, ``str`` for a string); otherwise a ValueError naming
+    ``owner``, so a file of the wrong shape is an input fault, not a crash."""
+    if not isinstance(value, shape):
+        got = _JSON_TYPES.get(type(value), type(value).__name__)
+        raise ValueError(f"{owner}: expected a JSON {_JSON_TYPES[shape]}, got {got}")
+    return value
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse "num/den" (or the integer shorthand "n") into a Fraction."""
-    body = text.strip()
-    if "/" in body:
-        num_text, den_text = body.split("/", 1)
-        num = int(num_text.strip())
-        den = int(den_text.strip())
-        if den <= 0:
-            raise ValueError(f"denominator must be positive in {text!r}")
-        return Fraction(num, den)
-    return Fraction(int(body))
+    """Parse "num/den" (or the integer shorthand "n") into a Fraction.
+
+    ``int`` strips the whitespace around each part, so one split suffices.
+    """
+    num_text, slash, den_text = text.partition("/")
+    if not slash:
+        return Fraction(int(num_text))
+    num = int(num_text)
+    den = int(den_text)
+    if den <= 0:
+        raise ValueError(f"denominator must be positive in {text!r}")
+    return Fraction(num, den)
 
 
 def format_rational(value: Fraction) -> str:
@@ -110,6 +126,11 @@ class Reservation:
     v: Fraction
 
     def __post_init__(self) -> None:
+        if (
+            type(self.c) is int and type(self.a) is Fraction and type(self.d) is Fraction
+            and type(self.t) is Fraction and type(self.v) is Fraction
+        ):
+            return  # already canonical: coercion would return the same objects
         coerce_fields(
             self, f"job {self.id}",
             a=to_rational, d=to_rational, t=to_rational, c=to_count, v=to_rational,
@@ -189,11 +210,14 @@ def validate_instance(inst: Instance) -> list[str]:
     """Every invariant violation; the ``Instance`` constructor raises unless it is empty.
 
     Violations are data, not faults: each entry names the job (or "bounds" /
-    "instance") and the failed predicate.
+    "instance") and the failed predicate.  Each job predicate compares integer
+    cross-products of numerators and denominators; denominators are positive,
+    so the order is the rationals' own, and no density is ever divided out.
     """
     violations: list[str] = []
-    if inst.capacity < 1:
-        violations.append(f"instance: capacity must be >= 1 (got {inst.capacity})")
+    capacity = inst.capacity
+    if capacity < 1:
+        violations.append(f"instance: capacity must be >= 1 (got {capacity})")
     b = inst.bounds
     if b.rho_min <= 0 or b.t_min <= 0:
         violations.append("bounds: rho_min and t_min must be positive")
@@ -201,29 +225,40 @@ def validate_instance(inst: Instance) -> list[str]:
         violations.append("bounds: rho_min exceeds rho_max")
     if b.t_min > b.t_max:
         violations.append("bounds: t_min exceeds t_max")
+    rho_lo_n, rho_lo_d = b.rho_min.as_integer_ratio()
+    rho_hi_n, rho_hi_d = b.rho_max.as_integer_ratio()
+    t_lo_n, t_lo_d = b.t_min.as_integer_ratio()
+    t_hi_n, t_hi_d = b.t_max.as_integer_ratio()
 
     seen_ids: set[str] = set()
     for job in inst.jobs:
         if job.id in seen_ids:
             violations.append(f"job {job.id}: duplicate id")
         seen_ids.add(job.id)
-        if job.t <= 0:
+        t_n, t_d = job.t.as_integer_ratio()
+        if t_n <= 0:
             violations.append(f"job {job.id}: length must be positive")
             continue
-        if job.c < 1:
+        c = job.c
+        if c < 1:
             violations.append(f"job {job.id}: demand must be >= 1")
             continue
-        if job.v <= 0:
+        v_n, v_d = job.v.as_integer_ratio()
+        if v_n <= 0:
             violations.append(f"job {job.id}: value must be positive")
             continue
-        if job.t > job.d - job.a:
+        a_n, a_d = job.a.as_integer_ratio()
+        d_n, d_d = job.d.as_integer_ratio()
+        if (t_n * a_d + a_n * t_d) * d_d > d_n * t_d * a_d:  # t + a > d
             violations.append(f"job {job.id}: length exceeds window")
-        if job.c > inst.capacity:
+        if c > capacity:
             violations.append(f"job {job.id}: demand exceeds capacity")
-        if not (b.t_min <= job.t <= b.t_max):
+        if t_lo_n * t_d > t_n * t_lo_d or t_n * t_hi_d > t_hi_n * t_d:
             violations.append(f"job {job.id}: length outside market bounds")
-        rho = job.density
-        if not (b.rho_min <= rho <= b.rho_max):
+        # rho_min <= v / (c t) <= rho_max as rho_min c t <= v <= rho_max c t, as c t > 0
+        work = c * t_n * v_d
+        value = v_n * t_d
+        if rho_lo_n * work > value * rho_lo_d or value * rho_hi_d > rho_hi_n * work:
             violations.append(f"job {job.id}: density outside market bounds")
     return violations
 
@@ -254,6 +289,7 @@ def bounds_to_dict(bounds: MarketBounds) -> dict:
 
 
 def bounds_from_dict(data: dict) -> MarketBounds:
+    json_shape(data, dict, "bounds")
     return MarketBounds(**{name: data[name] for name in _BOUNDS_FIELDS})
 
 
@@ -277,17 +313,17 @@ def instance_to_dict(inst: Instance) -> dict:
 
 
 def instance_from_dict(data: dict) -> Instance:
-    version = data.get("version")
+    version = json_shape(data, dict, "instance").get("version")
     if version != INSTANCE_FORMAT_VERSION:
         raise ValueError(f"unsupported instance format version: {version!r}")
     bounds = bounds_from_dict(data["bounds"])
-    jobs = tuple(
-        Reservation(
+    jobs = []
+    for index, job in enumerate(json_shape(data["jobs"], list, "instance: field 'jobs'")):
+        json_shape(job, dict, f"instance: jobs[{index}]")
+        jobs.append(Reservation(
             id=str(job["id"]), a=job["a"], d=job["d"], t=job["t"], c=job["c"], v=job["v"]
-        )
-        for job in data["jobs"]
-    )
-    return Instance(capacity=data["capacity"], bounds=bounds, jobs=jobs)
+        ))
+    return Instance(capacity=data["capacity"], bounds=bounds, jobs=tuple(jobs))
 
 
 def save_instance(inst: Instance, path: Union[str, Path]) -> None:

@@ -1,6 +1,7 @@
 """Generator fidelity and conflict-structure tests."""
 
 import json
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -233,3 +234,15 @@ def test_spec_rejects_inconsistent_choices():
 def test_spec_dict_round_trip():
     spec = spec_for(seed=5)
     assert RandomWorkloadSpec.from_dict(spec.to_dict()) == spec
+
+
+@pytest.mark.parametrize("field", ["arrivals", "slacks", "lengths", "demands", "densities"])
+def test_spec_choice_sets_must_be_lists(field):
+    # a string is a sequence of characters: "17" must not become the choices 1 and 7
+    data = spec_for().to_dict()
+    data[field] = "12"
+    with pytest.raises(ValueError, match=f"workload spec: field '{field}'"):
+        RandomWorkloadSpec.from_dict(data)
+    with pytest.raises(ValueError, match=f"workload spec: field '{field}'"):
+        replace(spec_for(), **{field: "12"})
+    assert len(getattr(replace(spec_for(), **{field: ["1", "2"]}), field)) == 2

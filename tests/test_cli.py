@@ -363,3 +363,78 @@ def test_string_flags_exit_2(tmp_path):
         "--grid", str(grid),
     )
     assert_input_error(result, "field 'include_corners'")
+
+
+# A file of the wrong JSON shape is an input fault, not a crash.
+INSTANCE_SHAPE_FAULTS = {
+    "top-level-array": (lambda data: [1, 2], "instance: expected a JSON object, got array"),
+    "job-not-object": (lambda data: dict(data, jobs=[1]), "instance: jobs[0]: expected a JSON object"),
+    "jobs-string": (lambda data: dict(data, jobs="ab"), "instance: field 'jobs': expected a JSON array"),
+    "bounds-array": (lambda data: dict(data, bounds=[]), "bounds: expected a JSON object, got array"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INSTANCE_SHAPE_FAULTS))
+def test_instance_of_the_wrong_shape_exits_2(tmp_path, case):
+    edit, message = INSTANCE_SHAPE_FAULTS[case]
+    path = write_instance(tmp_path)
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    result = invoke(*INSTANCE_COMMANDS["run"], "--instance", str(path))
+    assert_input_error(result, message)
+
+
+SPEC = {
+    "job_count": 3, "capacity": 8,
+    "bounds": {"rho_min": "1", "rho_max": "2", "t_min": "1", "t_max": "2"},
+    "arrivals": ["0"], "slacks": ["0"], "lengths": ["1"], "demands": [1], "densities": ["1"],
+}
+
+SPEC_SHAPE_FAULTS = {
+    "top-level-array": ([SPEC], "workload spec: expected a JSON object, got array"),
+    "bounds-string": (dict(SPEC, bounds="x"), "bounds: expected a JSON object, got string"),
+    "arrivals-string": (dict(SPEC, arrivals="17"), "workload spec: field 'arrivals'"),
+    "demands-string": (dict(SPEC, demands="12"), "workload spec: field 'demands'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SPEC_SHAPE_FAULTS))
+def test_spec_of_the_wrong_shape_exits_2(tmp_path, case):
+    spec, message = SPEC_SHAPE_FAULTS[case]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    result = invoke("gen", "random", "--spec", str(path), "--out", str(tmp_path / "i.json"))
+    assert_input_error(result, message)
+
+
+MANIFEST_SHAPE_FAULTS = {
+    "instances-string": (
+        lambda manifest: manifest.update(instances="I01.json"),
+        "family: field 'instances': expected a JSON array, got string",
+    ),
+    "bundles-string": (
+        lambda manifest: manifest.update(bundles="B1"),
+        "family: field 'bundles': expected a JSON array, got string",
+    ),
+    "instance-name-number": (
+        lambda manifest: manifest.update(instances=[1]),
+        "family: instances[0]: expected a JSON string, got number",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MANIFEST_SHAPE_FAULTS))
+def test_family_manifest_of_the_wrong_shape_exits_2(tmp_path, case):
+    edit, message = MANIFEST_SHAPE_FAULTS[case]
+    fam = tmp_path / "fam"
+    invoke("gen", "theorem3", "--capacity", "8", "--epsilon", "1/10", "--out", str(fam))
+    edit_family_files(fam, ["family.json"], edit)
+    result = invoke("yao", "--family", str(fam))
+    assert_input_error(result, message)
+
+
+def test_deviation_grid_of_the_wrong_shape_exits_2(tmp_path):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps([5]))
+    result = invoke(*INSTANCE_COMMANDS["audit"], "--instance", str(write_instance(tmp_path)),
+                    "--grid", str(grid))
+    assert_input_error(result, "deviation grid: expected a JSON object, got array")

@@ -1,15 +1,21 @@
 """Domain-type, validation, and file-format tests."""
 
+from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import validate_reference
 from cloudreserve import (
     InvalidInstanceError,
     MarketBounds,
+    RandomWorkloadSpec,
+    Reservation,
     format_rational,
+    gen_random,
     gen_theorem3,
     instance_from_dict,
     instance_to_dict,
@@ -22,6 +28,7 @@ from cloudreserve import (
     to_rational,
     validate_instance,
 )
+from cloudreserve import model
 from conftest import instance, job
 
 
@@ -141,3 +148,166 @@ def test_instance_dict_version_check():
             del data["version"]
         with pytest.raises(ValueError, match="unsupported instance format version"):
             instance_from_dict(data)
+
+
+# --- differential check of validate_instance against the rational reference ---
+
+# Signed rationals on a coarse grid, so ties with each other and with the
+# bounds come up often.
+signed = st.builds(Fraction, st.integers(-6, 12), st.sampled_from([1, 2, 3, 4]))
+
+
+def shaped_job(job_id, a, d, t, c, v):
+    # the reference reads the density property only once t > 0 and c >= 1
+    return SimpleNamespace(
+        id=job_id, a=a, d=d, t=t, c=c, v=v, density=v / (c * t) if c * t else None
+    )
+
+
+@st.composite
+def instance_shaped(draw):
+    """An instance-shaped namespace that may break every invariant: signed
+    fields, zero or negative demand, non-positive or unordered bounds, repeated
+    ids, and fields pinned to each boundary the checks compare against."""
+    bounds = SimpleNamespace(
+        rho_min=draw(signed), rho_max=draw(signed), t_min=draw(signed), t_max=draw(signed)
+    )
+    jobs = []
+    for _ in range(draw(st.integers(0, 6))):
+        a, d, t, v = draw(signed), draw(signed), draw(signed), draw(signed)
+        c = draw(st.integers(-1, 6))
+        tie = draw(st.sampled_from(
+            ["none", "window", "t_min", "t_max", "rho_min", "rho_max", "all"]
+        ))
+        if tie in ("t_min", "all"):
+            t = bounds.t_min
+        if tie == "t_max":
+            t = bounds.t_max
+        if tie in ("window", "all"):
+            d = a + t
+        if tie in ("rho_min", "all"):
+            v = bounds.rho_min * c * t
+        if tie == "rho_max":
+            v = bounds.rho_max * c * t
+        jobs.append(shaped_job(draw(st.sampled_from("abc")), a, d, t, c, v))
+    return SimpleNamespace(capacity=draw(st.integers(-1, 6)), bounds=bounds, jobs=jobs)
+
+
+@settings(max_examples=600, deadline=None)
+@given(instance_shaped())
+def test_validation_matches_reference(inst):
+    assert validate_instance(inst) == validate_reference.validate_instance(inst)
+
+
+def test_validation_matches_reference_at_each_boundary():
+    f = Fraction
+    bounds = SimpleNamespace(rho_min=f(1), rho_max=f(2), t_min=f(1, 2), t_max=f(3, 2))
+
+    def case(a, d, t, c, v):
+        return SimpleNamespace(
+            capacity=4, bounds=bounds, jobs=[shaped_job("x", f(a), f(d), f(t), c, f(v))]
+        )
+
+    cases = [
+        case(f(1, 3), f(4, 3), 1, 2, 3),  # t = d - a
+        case(f(1, 3), f(5, 4), 1, 2, 3),  # t just over d - a
+        case(0, 3, f(1, 2), 2, 1),  # t = t_min, density = rho_min
+        case(0, 3, f(3, 2), 2, 6),  # t = t_max, density = rho_max
+        case(0, 3, f(3, 2), 2, f(61, 10)),  # density just over rho_max
+        case(0, 3, f(1, 2), 2, f(9, 10)),  # density just under rho_min
+    ]
+    for inst in cases:
+        assert validate_instance(inst) == validate_reference.validate_instance(inst)
+    assert [validate_instance(inst) for inst in cases] == [
+        [], ["job x: length exceeds window"], [], [],
+        ["job x: density outside market bounds"], ["job x: density outside market bounds"],
+    ]
+
+
+# --- construction: canonical fields are kept, everything else is coerced ------
+
+def test_canonical_fields_are_kept_as_the_same_objects():
+    a, d, t, v = Fraction(1, 2), Fraction(9, 2), Fraction(3, 2), Fraction(3)
+    c = 2
+    r = Reservation(id="x", a=a, d=d, t=t, c=c, v=v)
+    assert r.a is a and r.d is d and r.t is t and r.c is c and r.v is v
+    moved = r.report(a=Fraction(1))
+    assert moved.d is d and moved.t is t and moved.v is v
+
+
+def test_int_and_string_fields_become_fractions():
+    r = Reservation(id="x", a=0, d="9/2", t="3/2", c="2", v=3)
+    assert (r.a, r.d, r.t, r.c, r.v) == (0, Fraction(9, 2), Fraction(3, 2), 2, 3)
+    assert all(type(x) is Fraction for x in (r.a, r.d, r.t, r.v)) and type(r.c) is int
+    assert all(type(x) is Fraction for x in (replace(r, a=1).a, r.report(v="7/2").v))
+
+
+BUILDS = {
+    "constructor": lambda field, value: Reservation(
+        **{"id": "x", "a": 0, "d": 4, "t": 2, "c": 1, "v": 2, field: value}
+    ),
+    "replace": lambda field, value: replace(
+        Reservation(id="x", a=0, d=4, t=2, c=1, v=2), **{field: value}
+    ),
+    "report": lambda field, value: Reservation(id="x", a=0, d=4, t=2, c=1, v=2).report(
+        **{field: value}
+    ),
+}
+
+
+@pytest.mark.parametrize("build", sorted(BUILDS))
+@pytest.mark.parametrize("value", [True, 1.5, None, "1.5", "3/0"], ids=repr)
+@pytest.mark.parametrize("field", ["a", "d", "t", "c", "v"])
+def test_malformed_field_is_rejected_on_every_build_path(build, value, field):
+    with pytest.raises(ValueError, match=f"job x: field '{field}'"):
+        BUILDS[build](field, value)
+
+
+PARSE_TABLE = {
+    " 3/4 ": Fraction(3, 4),
+    "-3/4": Fraction(-3, 4),
+    "3/-4": ValueError,
+    "3/0": ValueError,
+    "3/4/5": ValueError,
+    "": ValueError,
+    "1.5": ValueError,
+    " 7 ": Fraction(7),
+    "3 / 4": Fraction(3, 4),
+    "/4": ValueError,
+    "3/": ValueError,
+}
+
+
+@pytest.mark.parametrize("text", sorted(PARSE_TABLE), ids=repr)
+def test_parse_rational_accepts_and_rejects(text):
+    expected = PARSE_TABLE[text]
+    if expected is ValueError:
+        with pytest.raises(ValueError):
+            parse_rational(text)
+    else:
+        assert parse_rational(text) == expected and type(parse_rational(text)) is Fraction
+
+
+# --- one validation per build --------------------------------------------------
+
+def test_each_build_validates_once(monkeypatch):
+    calls = []
+    real = model.validate_instance
+
+    def counting(inst):
+        calls.append(inst)
+        return real(inst)
+
+    monkeypatch.setattr(model, "validate_instance", counting)
+    inst = instance(8, [job("a", 0, 4, 1, 1, 1), job("b", 1, 5, 2, 2, 6)])
+    calls.clear()
+    instance_from_dict(instance_to_dict(inst))
+    assert len(calls) == 1
+
+    spec = RandomWorkloadSpec(
+        job_count=20, capacity=8, bounds=MarketBounds(rho_min=1, rho_max=2, t_min=1, t_max=2),
+        arrivals=(0, 1, 2), slacks=(0, 1), lengths=(1, 2), demands=(1, 2), densities=(1, 2),
+    )
+    calls.clear()
+    gen_random(spec)
+    assert len(calls) == 1
