@@ -31,7 +31,8 @@ from .harness import (
     emit_results,
     exact_expectation,
     expected_performance,
-    format_coins,
+    record,
+    render,
     result_rows,
     truthfulness_audit,
     yao_evaluate,

@@ -8,10 +8,8 @@ was found), so the CLI doubles as a scriptable checker.  A failed claim exits
 
 from __future__ import annotations
 
-import csv
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import click
@@ -24,45 +22,10 @@ from .adversary import (
     load_family,
     save_family,
 )
-from .harness import (
-    CSV_COLUMNS,
-    DeviationGrid,
-    RatioReport,
-    YaoReport,
-    exact_expectation,
-    format_coins,
-    result_rows,
-    truthfulness_audit,
-    yao_evaluate,
-)
-from .mechanisms import (
-    MECHANISM_KINDS,
-    MechanismConfig,
-    draw_coins,
-    run_sequence,
-)
-from .model import (
-    format_rational,
-    load_instance,
-    parse_rational,
-    rational_to_decimal,
-    save_instance,
-)
+from .harness import DeviationGrid, exact_expectation, render, truthfulness_audit, yao_evaluate
+from .mechanisms import MECHANISM_KINDS, MechanismConfig, draw_coins, run_sequence
+from .model import load_instance, parse_rational, save_instance
 from .oracle import OracleCapExceeded, optimal_welfare
-
-
-def _rational_field(value: Fraction) -> dict:
-    return {"rational": format_rational(value), "decimal": rational_to_decimal(value)}
-
-
-def _write_csv(header: list[str], rows: list[list]) -> None:
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-
-
-def _print_rows(rows: list[dict]) -> None:
-    _write_csv(CSV_COLUMNS, [[row[column] for column in CSV_COLUMNS] for row in rows])
 
 
 def _mechanism_config(mechanism: str, inst, alpha: str | None) -> MechanismConfig:
@@ -173,54 +136,9 @@ def run_cmd(mechanism: str, instance: str, seed: int, alpha: str | None, output_
     """One online run with seeded coins."""
     inst = load_instance(instance)
     config = _mechanism_config(mechanism, inst, alpha)
-    coins = draw_coins(config, seed)
-    outcome = run_sequence(config, coins, inst)
-    if output_format == "json":
-        payload = {
-            "instance": Path(instance).stem,
-            "mechanism": mechanism,
-            "coins": {"i": coins.i, "u": coins.u, "v": coins.v},
-            "welfare": _rational_field(outcome.welfare),
-            "revenue": _rational_field(outcome.revenue),
-            "decisions": [
-                {
-                    "id": job_id,
-                    "accepted": decision.accepted,
-                    "price": _rational_field(decision.price) if decision.accepted else None,
-                    "start": _rational_field(decision.start) if decision.accepted else None,
-                }
-                for job_id, decision in outcome.decisions
-            ],
-        }
-        click.echo(json.dumps(payload, indent=2))
-    else:
-        rows = [
-            [
-                job_id,
-                "true" if decision.accepted else "false",
-                format_rational(decision.price) if decision.accepted else "",
-                format_rational(decision.start) if decision.accepted else "",
-            ]
-            for job_id, decision in outcome.decisions
-        ]
-        rows.append(["welfare", format_rational(outcome.welfare), "", ""])
-        rows.append(["revenue", format_rational(outcome.revenue), "", ""])
-        _write_csv(["id", "accepted", "price", "start"], rows)
-
-
-def _ratio_report_json(report: RatioReport) -> dict:
-    return {
-        "instance": report.instance_id,
-        "mechanism": report.mechanism,
-        "coin_tuples": report.coin_tuples,
-        "expected_welfare": _rational_field(report.exact_expected_welfare),
-        "expected_revenue": _rational_field(report.exact_expected_revenue),
-        "opt_welfare": _rational_field(report.opt_welfare),
-        "welfare_ratio": _rational_field(report.welfare_ratio),
-        "revenue_ratio": _rational_field(report.revenue_ratio),
-        "bound_claimed": _rational_field(report.bound_claimed),
-        "bound_satisfied": report.bound_satisfied,
-    }
+    outcome = run_sequence(config, draw_coins(config, seed), inst)
+    text = render(outcome, output_format, instance=Path(instance).stem, mechanism=mechanism)
+    click.echo(text, nl=False)
 
 
 @main.command("expect")
@@ -233,10 +151,7 @@ def expect_cmd(mechanism: str, instance: str, alpha: str | None, output_format: 
     inst = load_instance(instance)
     config = _mechanism_config(mechanism, inst, alpha)
     report = exact_expectation(config, inst, instance_id=Path(instance).stem)
-    if output_format == "json":
-        click.echo(json.dumps(_ratio_report_json(report), indent=2))
-    else:
-        _print_rows(result_rows(report))
+    click.echo(render(report, output_format), nl=False)
     sys.exit(0 if report.bound_satisfied else 1)
 
 
@@ -245,47 +160,8 @@ def expect_cmd(mechanism: str, instance: str, alpha: str | None, output_format: 
 @format_option
 def oracle_cmd(instance: str, output_format: str) -> None:
     """Exact offline-optimal welfare with a feasible witness."""
-    inst = load_instance(instance)
-    result = optimal_welfare(inst)
-    if output_format == "json":
-        payload = {
-            "instance": Path(instance).stem,
-            "opt_welfare": _rational_field(result.opt_welfare),
-            "witness": [
-                {"id": job_id, "start": _rational_field(start)}
-                for job_id, start in result.witness
-            ],
-            "explored_nodes": result.explored_nodes,
-        }
-        click.echo(json.dumps(payload, indent=2))
-    else:
-        rows = [[job_id, format_rational(start)] for job_id, start in result.witness]
-        rows.append(["opt_welfare", format_rational(result.opt_welfare)])
-        _write_csv(["id", "start"], rows)
-
-
-def _yao_report_json(report: YaoReport) -> dict:
-    payload = {
-        "family": report.family_id,
-        "kind": report.kind,
-        "opt_welfare": [format_rational(value) for value in report.opt_welfare],
-        "strategies": [
-            {
-                "label": strategy.label,
-                "jobs": list(strategy.job_ids),
-                "expected_ratio": _rational_field(strategy.expected_ratio),
-                "idealized_ratio": _rational_field(strategy.idealized_ratio),
-            }
-            for strategy in report.strategies
-        ],
-        "best_strategy": report.best.label,
-        "best_expected_ratio": _rational_field(report.best.expected_ratio),
-        "analytic_limit": _rational_field(report.analytic_limit),
-        "upper_bound": _rational_field(report.upper_bound),
-    }
-    if report.closed_form is not None:
-        payload["closed_form"] = [format_rational(value) for value in report.closed_form]
-    return payload
+    result = optimal_welfare(load_instance(instance))
+    click.echo(render(result, output_format, instance=Path(instance).stem), nl=False)
 
 
 @main.command("yao")
@@ -293,12 +169,8 @@ def _yao_report_json(report: YaoReport) -> dict:
 @format_option
 def yao_cmd(family: str, output_format: str) -> None:
     """Evaluate every deterministic commit strategy against a hardness family."""
-    fam = load_family(family)
-    report = yao_evaluate(fam, family_id=Path(family).name)
-    if output_format == "json":
-        click.echo(json.dumps(_yao_report_json(report), indent=2))
-    else:
-        _print_rows(result_rows(report))
+    report = yao_evaluate(load_family(family), family_id=Path(family).name)
+    click.echo(render(report, output_format), nl=False)
     sys.exit(0 if report.best.expected_ratio <= report.upper_bound else 1)
 
 
@@ -310,12 +182,7 @@ def yao_cmd(family: str, output_format: str) -> None:
 @alpha_option
 @format_option
 def audit_cmd(
-    mechanism: str,
-    instance: str,
-    seed: int,
-    grid: str | None,
-    alpha: str | None,
-    output_format: str,
+    mechanism: str, instance: str, seed: int, grid: str | None, alpha: str | None, output_format: str
 ) -> None:
     """Misreport audit: search the deviation grid for a profitable lie."""
     inst = load_instance(instance)
@@ -323,27 +190,7 @@ def audit_cmd(
     coins = draw_coins(config, seed)
     grid_spec = DeviationGrid.from_dict(json.loads(Path(grid).read_text())) if grid else DeviationGrid()
     report = truthfulness_audit(config, coins, inst, grid_spec, instance_id=Path(instance).stem)
-    if output_format == "json":
-        payload = {
-            "instance": report.instance_id,
-            "mechanism": report.mechanism,
-            "coins": format_coins(report.coins),
-            "deviations_tested": report.deviations_tested,
-            "profitable_deviations": [
-                {
-                    "job": deviation.job_id,
-                    "changes": {
-                        field: format_rational(Fraction(value))
-                        for field, value in deviation.changes
-                    },
-                    "utility_gain": _rational_field(deviation.utility_gain),
-                }
-                for deviation in report.profitable_deviations
-            ],
-        }
-        click.echo(json.dumps(payload, indent=2))
-    else:
-        _print_rows(result_rows(report))
+    click.echo(render(report, output_format), nl=False)
     sys.exit(0 if not report.profitable_deviations else 1)
 
 

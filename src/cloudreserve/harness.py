@@ -1,5 +1,6 @@
 """Experiment driver: exact expectations, ratio reports, hardness-family
-evaluation, misreport audits, and deterministic result emission.
+evaluation, misreport audits, and one record per report, from which the
+CLI's JSON and CSV and the deterministic result files are all cut.
 
 Expectations are computed by enumerating the full coin space with uniform
 weights, never by sampling; the coin spaces are tiny (at most 2 * L_k * L_T
@@ -10,9 +11,11 @@ statistical tolerance.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import singledispatch
 from itertools import combinations, product
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
@@ -22,6 +25,7 @@ from .mechanisms import (
     BINARY_FILTER,
     Coins,
     MechanismConfig,
+    Outcome,
     ceil_log2,
     coin_space,
     evaluate_arrival,
@@ -38,7 +42,7 @@ from .model import (
     to_count,
     to_flag,
 )
-from .oracle import optimal_welfare, subset_feasible
+from .oracle import OracleResult, optimal_welfare, subset_feasible
 from .timeline import CapacityTimeline
 
 
@@ -496,90 +500,199 @@ def audit_all_coins(
 
 
 # ---------------------------------------------------------------------------
-# Result emission.
+# Records: one JSON-ready dict per report; every output is cut from it.
 
+
+def _rational(value: Fraction) -> dict:
+    return {"rational": format_rational(value), "decimal": rational_to_decimal(value)}
+
+
+def _coins(coins: Coins) -> dict:
+    return {"i": coins.i, "u": coins.u, "v": coins.v}
+
+
+@singledispatch
+def record(report) -> dict:
+    """The report as one JSON-ready dict, the single source of every output.
+
+    Every rational is ``{"rational": "num/den", "decimal": ...}`` with the
+    decimal at 15 significant digits, and coins are ``{"i", "u", "v"}``.
+    """
+    raise TypeError(f"no record for a report of type {type(report).__name__}")
+
+
+@record.register(RatioReport)
+def _ratio_record(report: RatioReport) -> dict:
+    return {
+        "instance": report.instance_id,
+        "mechanism": report.mechanism,
+        "coin_tuples": report.coin_tuples,
+        "expected_welfare": _rational(report.exact_expected_welfare),
+        "expected_revenue": _rational(report.exact_expected_revenue),
+        "opt_welfare": _rational(report.opt_welfare),
+        "welfare_ratio": _rational(report.welfare_ratio),
+        "revenue_ratio": _rational(report.revenue_ratio),
+        "bound_claimed": _rational(report.bound_claimed),
+        "bound_satisfied": report.bound_satisfied,
+    }
+
+
+@record.register(YaoReport)
+def _yao_record(report: YaoReport) -> dict:
+    rec = {
+        "family": report.family_id,
+        "kind": report.kind,
+        "opt_welfare": [_rational(value) for value in report.opt_welfare],
+        "strategies": [
+            {
+                "label": strategy.label,
+                "jobs": list(strategy.job_ids),
+                "expected_ratio": _rational(strategy.expected_ratio),
+                "idealized_ratio": _rational(strategy.idealized_ratio),
+            }
+            for strategy in report.strategies
+        ],
+        "best_strategy": report.best.label,
+        "best_expected_ratio": _rational(report.best.expected_ratio),
+        "analytic_limit": _rational(report.analytic_limit),
+        "upper_bound": _rational(report.upper_bound),
+    }
+    if report.closed_form is not None:
+        rec["closed_form"] = [_rational(value) for value in report.closed_form]
+    return rec
+
+
+@record.register(AuditReport)
+def _audit_record(report: AuditReport) -> dict:
+    return {
+        "instance": report.instance_id,
+        "mechanism": report.mechanism,
+        "coins": _coins(report.coins),
+        "deviations_tested": report.deviations_tested,
+        "profitable_deviations": [
+            {
+                "job": deviation.job_id,
+                "changes": {field: _rational(Fraction(value)) for field, value in deviation.changes},
+                "utility_gain": _rational(deviation.utility_gain),
+            }
+            for deviation in report.profitable_deviations
+        ],
+    }
+
+
+@record.register(Outcome)
+def _outcome_record(outcome: Outcome) -> dict:
+    return {
+        "coins": _coins(outcome.coins),
+        "welfare": _rational(outcome.welfare),
+        "revenue": _rational(outcome.revenue),
+        "decisions": [
+            {
+                "id": job_id,
+                "accepted": decision.accepted,
+                "price": _rational(decision.price) if decision.accepted else None,
+                "start": _rational(decision.start) if decision.accepted else None,
+            }
+            for job_id, decision in outcome.decisions
+        ],
+    }
+
+
+@record.register(OracleResult)
+def _oracle_record(result: OracleResult) -> dict:
+    return {
+        "opt_welfare": _rational(result.opt_welfare),
+        "witness": [{"id": job_id, "start": _rational(start)} for job_id, start in result.witness],
+        "explored_nodes": result.explored_nodes,
+    }
+
+
+# summary-table column <- ratio-report record key; each column has an ``_decimal`` twin
+_RATIO_COLUMNS = {
+    "welfare": "expected_welfare",
+    "revenue": "expected_revenue",
+    "opt": "opt_welfare",
+    "welfare_ratio": "welfare_ratio",
+    "revenue_ratio": "revenue_ratio",
+    "bound": "bound_claimed",
+}
 CSV_COLUMNS = [
-    "instance",
-    "mechanism",
-    "coins",
-    "welfare",
-    "revenue",
-    "opt",
-    "welfare_ratio",
-    "revenue_ratio",
-    "bound",
-    "satisfied",
-    "welfare_decimal",
-    "revenue_decimal",
-    "opt_decimal",
-    "welfare_ratio_decimal",
-    "revenue_ratio_decimal",
-    "bound_decimal",
+    "instance", "mechanism", "coins", *_RATIO_COLUMNS, "satisfied",
+    *(f"{column}_decimal" for column in _RATIO_COLUMNS),
 ]
 
 
-def format_coins(coins: Coins) -> str:
-    parts = [f"i={coins.i}"]
-    if coins.u is not None:
-        parts.append(f"u={coins.u}")
-    if coins.v is not None:
-        parts.append(f"v={coins.v}")
-    return ",".join(parts)
-
-
-def _base_row(instance: str, mechanism: str, coins: str, satisfied: bool, **rationals) -> dict:
-    row = {column: "" for column in CSV_COLUMNS}
-    row["instance"] = instance
-    row["mechanism"] = mechanism
-    row["coins"] = coins
+def _summary_row(instance: str, mechanism: str, coins: str, satisfied: bool, **rationals) -> dict:
+    """One ``CSV_COLUMNS`` row; each named rational record fills ``x`` and ``x_decimal``."""
+    row = dict.fromkeys(CSV_COLUMNS, "")
+    row.update(instance=instance, mechanism=mechanism, coins=coins)
     row["satisfied"] = "true" if satisfied else "false"
     for name, value in rationals.items():
-        if value is None:
-            continue
-        row[name] = format_rational(value)
-        row[f"{name}_decimal"] = rational_to_decimal(value)
+        row[name], row[f"{name}_decimal"] = value["rational"], value["decimal"]
     return row
 
 
 def result_rows(report) -> list[dict]:
-    """Flatten a report into CSV rows (one per strategy for family reports)."""
+    """A report's summary-table rows (one per strategy for a family), cut from its record."""
+    rec = record(report)
     if isinstance(report, RatioReport):
-        return [
-            _base_row(
-                report.instance_id,
-                report.mechanism,
-                str(report.coin_tuples),
-                report.bound_satisfied,
-                welfare=report.exact_expected_welfare,
-                revenue=report.exact_expected_revenue,
-                opt=report.opt_welfare,
-                welfare_ratio=report.welfare_ratio,
-                revenue_ratio=report.revenue_ratio,
-                bound=report.bound_claimed,
-            )
-        ]
+        rationals = {column: rec[key] for column, key in _RATIO_COLUMNS.items()}
+        coins, satisfied = str(rec["coin_tuples"]), rec["bound_satisfied"]
+        return [_summary_row(rec["instance"], rec["mechanism"], coins, satisfied, **rationals)]
     if isinstance(report, AuditReport):
-        return [
-            _base_row(
-                report.instance_id,
-                report.mechanism,
-                format_coins(report.coins),
-                not report.profitable_deviations,
-            )
-        ]
+        coins = ",".join(f"{name}={value}" for name, value in rec["coins"].items() if value is not None)
+        satisfied = not rec["profitable_deviations"]
+        return [_summary_row(rec["instance"], rec["mechanism"], coins, satisfied)]
     if isinstance(report, YaoReport):
+        bound = rec["upper_bound"]
         return [
-            _base_row(
-                report.family_id,
-                strategy.label,
-                "",
-                strategy.expected_ratio <= report.upper_bound,
-                welfare_ratio=strategy.expected_ratio,
-                bound=report.upper_bound,
+            _summary_row(
+                rec["family"], strategy["label"], "",
+                Fraction(strategy["expected_ratio"]["rational"]) <= Fraction(bound["rational"]),
+                welfare_ratio=strategy["expected_ratio"], bound=bound,
             )
-            for strategy in report.strategies
+            for strategy in rec["strategies"]
         ]
     raise TypeError(f"cannot emit report of type {type(report).__name__}")
+
+
+def _cell(value: Optional[dict]) -> str:
+    return value["rational"] if value else ""
+
+
+def _table(report) -> tuple[list[str], list]:
+    """A report's CSV header and rows, cut from its record: a run's decisions
+    and an optimum's witness list one job per row with the totals after them;
+    every other report is summary rows."""
+    if isinstance(report, Outcome):
+        rec = record(report)
+        rows = [
+            [row["id"], "true" if row["accepted"] else "false", _cell(row["price"]), _cell(row["start"])]
+            for row in rec["decisions"]
+        ]
+        rows += [[total, _cell(rec[total]), "", ""] for total in ("welfare", "revenue")]
+        return ["id", "accepted", "price", "start"], rows
+    if isinstance(report, OracleResult):
+        rec = record(report)
+        rows = [[row["id"], _cell(row["start"])] for row in rec["witness"]]
+        return ["id", "start"], rows + [["opt_welfare", _cell(rec["opt_welfare"])]]
+    return CSV_COLUMNS, [row.values() for row in result_rows(report)]
+
+
+def _csv_text(header: list[str], rows: Iterable) -> str:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()
+
+
+def render(report, output_format: str, **front) -> str:
+    """The report as the CLI prints it: its record as JSON, with the ``front``
+    keys first, or its CSV table."""
+    if output_format == "json":
+        return json.dumps({**front, **record(report)}, indent=2) + "\n"
+    return _csv_text(*_table(report))
 
 
 def emit_results(
@@ -597,19 +710,9 @@ def emit_results(
     out.mkdir(parents=True, exist_ok=True)
     rows = [row for report in reports for row in result_rows(report)]
     csv_path = out / f"{basename}.csv"
-    with csv_path.open("w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=CSV_COLUMNS, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
-
-    def parse_ratio(row: dict) -> Optional[Fraction]:
-        text = row["welfare_ratio"]
-        return Fraction(text) if text else None
-
-    welfare_ratios = [r for r in (parse_ratio(row) for row in rows) if r is not None]
-    revenue_ratios = [
-        Fraction(row["revenue_ratio"]) for row in rows if row["revenue_ratio"]
-    ]
+    csv_path.write_text(_csv_text(CSV_COLUMNS, [row.values() for row in rows]), newline="")
+    welfare_ratios = [Fraction(row["welfare_ratio"]) for row in rows if row["welfare_ratio"]]
+    revenue_ratios = [Fraction(row["revenue_ratio"]) for row in rows if row["revenue_ratio"]]
     summary = {
         "version": 1,
         "row_count": len(rows),

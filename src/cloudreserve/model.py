@@ -319,10 +319,15 @@ def instance_from_dict(data: dict) -> Instance:
     bounds = bounds_from_dict(data["bounds"])
     jobs = []
     for index, job in enumerate(json_shape(data["jobs"], list, "instance: field 'jobs'")):
-        json_shape(job, dict, f"instance: jobs[{index}]")
-        jobs.append(Reservation(
-            id=str(job["id"]), a=job["a"], d=job["d"], t=job["t"], c=job["c"], v=job["v"]
-        ))
+        owner = f"instance: jobs[{index}]"
+        json_shape(job, dict, owner)
+        try:
+            job_id = json_shape(job["id"], str, f"{owner}: field 'id'")
+            jobs.append(Reservation(
+                id=job_id, a=job["a"], d=job["d"], t=job["t"], c=job["c"], v=job["v"]
+            ))
+        except KeyError as exc:
+            raise ValueError(f"{owner}: missing field {exc}") from exc
     return Instance(capacity=data["capacity"], bounds=bounds, jobs=tuple(jobs))
 
 

@@ -371,6 +371,22 @@ INSTANCE_SHAPE_FAULTS = {
     "job-not-object": (lambda data: dict(data, jobs=[1]), "instance: jobs[0]: expected a JSON object"),
     "jobs-string": (lambda data: dict(data, jobs="ab"), "instance: field 'jobs': expected a JSON array"),
     "bounds-array": (lambda data: dict(data, bounds=[]), "bounds: expected a JSON object, got array"),
+    "id-null": (
+        lambda data: dict(data, jobs=[dict(data["jobs"][0], id=None)]),
+        "instance: jobs[0]: field 'id': expected a JSON string, got null",
+    ),
+    "id-array": (
+        lambda data: dict(data, jobs=[dict(data["jobs"][0], id=[1, 2])]),
+        "instance: jobs[0]: field 'id': expected a JSON string, got array",
+    ),
+    "id-number": (
+        lambda data: dict(data, jobs=[dict(data["jobs"][0], id=7)]),
+        "instance: jobs[0]: field 'id': expected a JSON string, got number",
+    ),
+    "id-boolean": (
+        lambda data: dict(data, jobs=[dict(data["jobs"][0], id=True)]),
+        "instance: jobs[0]: field 'id': expected a JSON string, got boolean",
+    ),
 }
 
 
@@ -381,6 +397,15 @@ def test_instance_of_the_wrong_shape_exits_2(tmp_path, case):
     path.write_text(json.dumps(edit(json.loads(path.read_text()))))
     result = invoke(*INSTANCE_COMMANDS["run"], "--instance", str(path))
     assert_input_error(result, message)
+
+
+def test_job_missing_a_field_names_its_index(tmp_path):
+    path = write_instance(tmp_path, jobs=[job(f"j{i}", 0, 10, 1, 1, 1) for i in range(8)])
+    data = json.loads(path.read_text())
+    del data["jobs"][3]["a"]
+    path.write_text(json.dumps(data))
+    result = invoke(*INSTANCE_COMMANDS["run"], "--instance", str(path))
+    assert_input_error(result, "instance: jobs[3]: missing field 'a'")
 
 
 SPEC = {

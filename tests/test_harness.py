@@ -1,5 +1,6 @@
 """Harness tests: expectations, band checks, family evaluation, audits, emission."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -25,10 +26,14 @@ from cloudreserve import (
     gen_theorem3,
     gen_theorem5,
     quote_price,
+    record,
+    render,
+    result_rows,
     run_sequence,
     truthfulness_audit,
     yao_evaluate,
 )
+from cloudreserve.harness import AuditReport, ProfitableDeviation
 from conftest import instance, job, make_workload
 
 
@@ -313,3 +318,45 @@ def test_emit_yao_strategy_rows(tmp_path):
     lines = csv_path.read_text().splitlines()
     assert len(lines) == 1 + 9
     assert all(line.startswith("six,") for line in lines[1:])
+
+
+# --- records -------------------------------------------------------------------
+
+def test_audit_record_renders_changes_gain_and_coins_as_records():
+    deviation = ProfitableDeviation(
+        job_id="j", changes=(("c", 3), ("t", Fraction(5, 2))), utility_gain=Fraction(1, 3)
+    )
+    report = AuditReport("x", BINARY_FILTER, Coins(i=1, u=2, v=1), 7, (deviation,))
+    rec = record(report)
+    assert rec["coins"] == {"i": 1, "u": 2, "v": 1}
+    assert rec["profitable_deviations"] == [{
+        "job": "j",
+        "changes": {
+            "c": {"rational": "3", "decimal": "3"},
+            "t": {"rational": "5/2", "decimal": "2.5"},
+        },
+        "utility_gain": {"rational": "1/3", "decimal": "0.333333333333333"},
+    }]
+    row, = result_rows(report)
+    assert (row["coins"], row["satisfied"]) == ("i=1,u=2,v=1", "false")
+
+
+def test_summary_coins_omit_undrawn_coins():
+    report = AuditReport("x", GREEDY, Coins(i=0), 0, ())
+    assert record(report)["coins"] == {"i": 0, "u": None, "v": None}
+    assert result_rows(report)[0]["coins"] == "i=0"
+
+
+def test_render_puts_front_keys_first_and_tables_a_run():
+    inst = instance(8, [job("x", 0, 10, 2, 3, 6), job("y", 0, 2, 2, 8, 16)])
+    outcome = run_sequence(config_for(inst, kind=GREEDY), Coins(i=0), inst)
+    text = render(outcome, "json", instance="inst", mechanism=GREEDY)
+    assert list(json.loads(text))[:3] == ["instance", "mechanism", "coins"]
+    assert render(outcome, "csv").splitlines() == [
+        "id,accepted,price,start", "x,true,6,0", "y,false,,", "welfare,6,,", "revenue,6,,",
+    ]
+
+
+def test_record_rejects_an_unknown_report():
+    with pytest.raises(TypeError, match="no record for a report of type str"):
+        record("not a report")

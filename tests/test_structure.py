@@ -66,3 +66,21 @@ def test_only_model_validates_instances():
     assert modules
     violations = [line for path in modules for line in validation_outside_model(path)]
     assert violations == []
+
+
+def cli_serialisation(path: Path) -> list[str]:
+    """Rational renderers imported, or ``"rational"`` keys built, by the CLI:
+    the harness's records are the one codec for every report."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                if alias.name in ("format_rational", "rational_to_decimal"):
+                    found.append(f"{path.name}:{node.lineno}: import {alias.name}")
+        if isinstance(node, ast.Constant) and node.value == "rational":
+            found.append(f"{path.name}:{node.lineno}: \"rational\"")
+    return found
+
+
+def test_cli_prints_records_and_builds_none():
+    assert cli_serialisation(PACKAGE_DIR / "cli.py") == []
