@@ -27,6 +27,7 @@ from .model import (
     format_rational,
     json_shape,
     load_instance,
+    read_fields,
     realized_bounds,
     save_instance,
     to_count,
@@ -174,7 +175,7 @@ def _theorem5_bundles(n: int, m: int, capacity: int) -> tuple[tuple[Reservation,
     i = n + m + 2
     bundles.append((
         Reservation(id=f"B{i}-1", a=0, d=2**n, t=2**n, c=C, v=2 ** (i - 2) * C),
-        Reservation(id=f"B{i}-2", a=2**n, d=2 ** (2 * n), t=2**n, c=C, v=2 ** (i - 2) * C),
+        Reservation(id=f"B{i}-2", a=2**n, d=2 ** (n + 1), t=2**n, c=C, v=2 ** (i - 2) * C),
     ))
     return tuple(bundles)
 
@@ -184,7 +185,7 @@ def gen_theorem5(n: int, m: int, capacity: int) -> YaoFamily:
 
     The first n bundles are density-1 jobs of doubling length pinned around
     time 2^n; the next m keep length 2^n and double in density; the last two
-    use the full capacity.
+    use the full capacity, and the last bundle's two jobs tile [0, 2^(n+1)).
     """
     if n < 1 or m < 1:
         raise ValueError("n and m must be >= 1")
@@ -288,19 +289,8 @@ class RandomWorkloadSpec:
 
     @staticmethod
     def from_dict(data: dict) -> "RandomWorkloadSpec":
-        json_shape(data, dict, "workload spec")
-        return RandomWorkloadSpec(
-            job_count=data["job_count"],
-            capacity=data["capacity"],
-            bounds=bounds_from_dict(data["bounds"]),
-            arrivals=data["arrivals"],
-            slacks=data["slacks"],
-            lengths=data["lengths"],
-            demands=data["demands"],
-            densities=data["densities"],
-            seed=data.get("seed", 0),
-            tighten_bounds=data.get("tighten_bounds", False),
-        )
+        args = read_fields(RandomWorkloadSpec, data, "workload spec")
+        return RandomWorkloadSpec(**dict(args, bounds=bounds_from_dict(args["bounds"])))
 
     def to_dict(self) -> dict:
         return {
@@ -373,17 +363,15 @@ def save_family(family: YaoFamily, out_dir: Union[str, Path]) -> Path:
 
 def load_family(directory: Union[str, Path]) -> YaoFamily:
     root = Path(directory)
-    manifest = json_shape(json.loads(Path(root, "family.json").read_text()), dict, "family")
-    version = manifest.get("version")
-    if version != FAMILY_FORMAT_VERSION:
-        raise ValueError(f"unsupported family format version: {version!r}")
-    names = json_shape(manifest["instances"], list, "family: field 'instances'")
+    manifest = json.loads(Path(root, "family.json").read_text())
+    args = read_fields(YaoFamily, manifest, "family", FAMILY_FORMAT_VERSION)
+    names = json_shape(args["instances"], list, "family: field 'instances'")
     instances = tuple(
         load_instance(Path(root, json_shape(name, str, f"family: instances[{index}]")))
         for index, name in enumerate(names)
     )
     by_id = {job.id: job for inst in instances for job in inst.jobs}
-    bundle_lists = json_shape(manifest["bundles"], list, "family: field 'bundles'")
+    bundle_lists = json_shape(args["bundles"], list, "family: field 'bundles'")
     for index, bundle_ids in enumerate(bundle_lists):
         json_shape(bundle_ids, list, f"family: bundles[{index}]")
     unknown = [
@@ -393,12 +381,4 @@ def load_family(directory: Union[str, Path]) -> YaoFamily:
     if unknown:
         raise ValueError(f"family: bundle job ids {unknown} are in no instance")
     bundles = tuple(tuple(by_id[job_id] for job_id in bundle_ids) for bundle_ids in bundle_lists)
-    return YaoFamily(
-        kind=manifest["kind"],
-        capacity=manifest["capacity"],
-        bundles=bundles,
-        instances=instances,
-        epsilon=manifest.get("epsilon"),
-        n=manifest.get("n"),
-        m=manifest.get("m"),
-    )
+    return YaoFamily(**dict(args, bundles=bundles, instances=instances))

@@ -3,7 +3,8 @@
 Reporting commands print JSON (default) or CSV and exit 0 only when every
 claimed bound is satisfied (or, for ``audit``, when no profitable deviation
 was found), so the CLI doubles as a scriptable checker.  A failed claim exits
-1; bad input (a malformed or invalid file) exits 2 with one ``Error:`` line.
+1; bad input (an unreadable, malformed or invalid file) exits 2 with one
+``Error:`` line.
 """
 
 from __future__ import annotations
@@ -73,11 +74,7 @@ class _MainGroup(click.Group):
     def invoke(self, ctx: click.Context):
         try:
             return super().invoke(ctx)
-        except OracleCapExceeded as exc:
-            raise InputError(f"{exc} (explored {exc.explored_nodes} nodes)") from exc
-        except KeyError as exc:
-            raise InputError(f"missing field {exc}") from exc
-        except ValueError as exc:
+        except (ValueError, OSError, OracleCapExceeded) as exc:
             raise InputError(str(exc)) from exc
 
 

@@ -36,8 +36,8 @@ from .model import (
     Reservation,
     coerce_fields,
     format_rational,
-    json_shape,
     rational_to_decimal,
+    read_fields,
     realized_bounds,
     to_count,
     to_flag,
@@ -364,11 +364,7 @@ class DeviationGrid:
 
     @staticmethod
     def from_dict(data: dict) -> "DeviationGrid":
-        json_shape(data, dict, "deviation grid")
-        return DeviationGrid(
-            points_per_dim=data.get("points_per_dim", 5),
-            include_corners=data.get("include_corners", False),
-        )
+        return DeviationGrid(**read_fields(DeviationGrid, data, "deviation grid"))
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,10 @@ are immutable value objects and safe to share across concurrent runs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
@@ -281,6 +282,35 @@ def realized_bounds(inst: Instance) -> Optional[MarketBounds]:
 # Instance file format (versioned JSON; rationals as "num/den" strings).
 
 
+@cache
+def _schema(cls) -> tuple[tuple[str, ...], dict]:
+    """A dataclass's field names, and the defaults of the fields that have one."""
+    return (
+        tuple(f.name for f in fields(cls)),
+        {f.name: f.default for f in fields(cls) if f.default is not MISSING},
+    )
+
+
+def read_fields(cls, data, owner: str, version: Optional[int] = None) -> dict:
+    """The constructor arguments of dataclass ``cls`` read from the JSON object
+    ``data``, with the field names and defaults of ``cls`` itself.  A missing
+    field or an unknown key is a ValueError naming ``owner`` and the key; a
+    format with a ``version`` allows that one key besides, at that value only."""
+    names, defaults = _schema(cls)
+    args = {**defaults, **json_shape(data, dict, owner)}
+    if version is not None:
+        found = args.pop("version", None)
+        if type(found) is not int or found != version:
+            raise ValueError(f"unsupported {owner} format version: {found!r}")
+    for key in args:
+        if key not in names:
+            raise ValueError(f"{owner}: unknown field {key!r}")
+    for name in names:
+        if name not in args:
+            raise ValueError(f"{owner}: missing field {name!r}")
+    return args
+
+
 _BOUNDS_FIELDS = ("rho_min", "rho_max", "t_min", "t_max")
 
 
@@ -289,8 +319,7 @@ def bounds_to_dict(bounds: MarketBounds) -> dict:
 
 
 def bounds_from_dict(data: dict) -> MarketBounds:
-    json_shape(data, dict, "bounds")
-    return MarketBounds(**{name: data[name] for name in _BOUNDS_FIELDS})
+    return MarketBounds(**read_fields(MarketBounds, data, "bounds"))
 
 
 def instance_to_dict(inst: Instance) -> dict:
@@ -313,22 +342,18 @@ def instance_to_dict(inst: Instance) -> dict:
 
 
 def instance_from_dict(data: dict) -> Instance:
-    version = json_shape(data, dict, "instance").get("version")
-    if version != INSTANCE_FORMAT_VERSION:
-        raise ValueError(f"unsupported instance format version: {version!r}")
-    bounds = bounds_from_dict(data["bounds"])
+    args = read_fields(Instance, data, "instance", INSTANCE_FORMAT_VERSION)
+    bounds = bounds_from_dict(args["bounds"])
     jobs = []
-    for index, job in enumerate(json_shape(data["jobs"], list, "instance: field 'jobs'")):
-        owner = f"instance: jobs[{index}]"
-        json_shape(job, dict, owner)
+    for index, job in enumerate(json_shape(args["jobs"], list, "instance: field 'jobs'")):
+        # Construct first: the reader runs only to name the key a failed call missed.
         try:
-            job_id = json_shape(job["id"], str, f"{owner}: field 'id'")
-            jobs.append(Reservation(
-                id=job_id, a=job["a"], d=job["d"], t=job["t"], c=job["c"], v=job["v"]
-            ))
-        except KeyError as exc:
-            raise ValueError(f"{owner}: missing field {exc}") from exc
-    return Instance(capacity=data["capacity"], bounds=bounds, jobs=tuple(jobs))
+            jobs.append(Reservation(**job))
+        except TypeError:
+            read_fields(Reservation, job, f"instance: jobs[{index}]")
+            raise
+        json_shape(jobs[-1].id, str, f"instance: jobs[{index}]: field 'id'")
+    return Instance(capacity=args["capacity"], bounds=bounds, jobs=tuple(jobs))
 
 
 def save_instance(inst: Instance, path: Union[str, Path]) -> None:

@@ -26,7 +26,7 @@ class OracleCapExceeded(RuntimeError):
     """Search exceeded the configured job or node cap."""
 
     def __init__(self, message: str, explored_nodes: int):
-        super().__init__(message)
+        super().__init__(f"{message} (explored {explored_nodes} nodes)")
         self.explored_nodes = explored_nodes
 
 

@@ -8,16 +8,20 @@ from itertools import combinations
 import pytest
 
 from cloudreserve import (
+    Instance,
     MarketBounds,
     RandomWorkloadSpec,
     gen_random,
     gen_theorem3,
     gen_theorem5,
+    limit_value_coefs,
     load_family,
+    optimal_welfare,
     realized_bounds,
     save_family,
     subset_feasible,
     validate_instance,
+    yao_evaluate,
 )
 
 
@@ -83,7 +87,7 @@ def test_theorem5_golden_table_n2_m1_c8():
     assert bundle_tuples(family, 3) == [(f(2), f(6), f(4), 8, f(64))]
     assert bundle_tuples(family, 4) == [
         (f(0), f(4), f(4), 8, f(64)),
-        (f(4), f(16), f(4), 8, f(64)),
+        (f(4), f(8), f(4), 8, f(64)),
     ]
 
 
@@ -98,26 +102,54 @@ def test_theorem5_realized_spreads_match_ladder_parameters():
 
 
 def test_theorem5_cross_bundle_conflicts():
-    """Every pair of tight jobs from different bundles conflicts.
-
-    The final bundle's second job has window slack for n >= 2, so it alone
-    can be co-scheduled with the tight bundles; that known exception is
-    pinned here explicitly.
-    """
+    """Every pair of jobs from different bundles conflicts, the final bundle's
+    second job included: its window [2^n, 2^(n+1)] leaves it no slack."""
     for n, m in [(1, 1), (2, 1), (2, 2)]:
         family = gen_theorem5(n, m, 8)
         last = family.instances[-1]
-        loose_id = family.bundles[-1][1].id
-        loose_is_tight = n == 1
         bundle_of = {j.id: i for i, b in enumerate(family.bundles, 1) for j in b}
         for x, y in combinations(last.jobs, 2):
-            if bundle_of[x.id] == bundle_of[y.id]:
-                continue
-            coexist = subset_feasible(last, [x.id, y.id]) is not None
-            if loose_id in (x.id, y.id) and not loose_is_tight:
-                assert coexist
-            else:
-                assert not coexist, (x.id, y.id)
+            if bundle_of[x.id] != bundle_of[y.id]:
+                assert subset_feasible(last, [x.id, y.id]) is None, (x.id, y.id)
+
+
+def yao_weighted_instance(family, values):
+    """The last instance with each value v_j replaced by its Yao weight
+    w_j = v_j * sum_{i >= b(j)} 1/(N V_i), where b(j) is j's bundle and V_i
+    bundle i's value; the reweighted envelope is its bounds."""
+    bundle_values = [sum(values[job.id] for job in bundle) for bundle in family.bundles]
+    weights = {}
+    for b, bundle in enumerate(family.bundles):
+        tail = sum(Fraction(1, family.size) / value for value in bundle_values[b:])
+        weights.update({job.id: values[job.id] * tail for job in bundle})
+    jobs = [replace(job, v=weights[job.id]) for job in family.instances[-1].jobs]
+    densities = [job.density for job in jobs]
+    lengths = [job.t for job in jobs]
+    bounds = MarketBounds(min(densities), max(densities), min(lengths), max(lengths))
+    return Instance(capacity=family.capacity, bounds=bounds, jobs=tuple(jobs))
+
+
+def test_theorem5_exact_best_deterministic_algorithm_meets_the_ceiling():
+    """Yao's principle: a deterministic online rule cannot tell a ladder's
+    instances apart until one ends, so it is one feasible accept set S of the
+    last instance, and its expected ratio is the sum of S's Yao weights.  The
+    oracle on the reweighted instance is therefore the exact best rule; it
+    must stay at or below 2/(n+m+2) and equal the commit:B1 row."""
+    for n in range(1, 9):
+        for m in range(1, 10 - n):
+            family = gen_theorem5(n, m, 2**10)
+            report = yao_evaluate(family)
+            values = {job.id: job.v for bundle in family.bundles for job in bundle}
+            for at_limit in (False, True):
+                weighted = yao_weighted_instance(
+                    family, limit_value_coefs(family) if at_limit else values
+                )
+                best = optimal_welfare(weighted).opt_welfare
+                commit_b1 = report.strategies[0]
+                assert commit_b1.label == "commit:B1"
+                listed = commit_b1.idealized_ratio if at_limit else commit_b1.expected_ratio
+                assert best <= Fraction(2, n + m + 2), (n, m, at_limit, best)
+                assert best == listed, (n, m, at_limit)
 
 
 def test_theorem5_parameter_ranges():

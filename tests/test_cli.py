@@ -1,9 +1,12 @@
 """End-to-end CLI tests over the documented command surface."""
 
+import copy
 import json
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cloudreserve import load_family, load_instance
 from cloudreserve.cli import main
@@ -463,3 +466,142 @@ def test_deviation_grid_of_the_wrong_shape_exits_2(tmp_path):
     result = invoke(*INSTANCE_COMMANDS["audit"], "--instance", str(write_instance(tmp_path)),
                     "--grid", str(grid))
     assert_input_error(result, "deviation grid: expected a JSON object, got array")
+
+
+# --- every file is read by one reader: missing and unknown keys are named ----
+
+def write_theorem5_family(tmp_path, n="2", m="1", capacity="8"):
+    fam = tmp_path / "fam"
+    invoke("gen", "theorem5", "--n", n, "--m", m, "--capacity", capacity, "--out", str(fam))
+    return fam
+
+
+def run_on(tmp_path, kind, document):
+    """Write ``document`` as the input file of ``kind`` and run the command that reads it."""
+    if kind == "family":
+        fam = tmp_path / "fam"
+        (fam / "family.json").write_text(json.dumps(document))
+        return invoke("yao", "--family", str(fam))
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(document))
+    if kind == "instance":
+        return invoke("oracle", "--instance", str(path))
+    if kind == "spec":
+        return invoke("gen", "random", "--spec", str(path), "--out", str(tmp_path / "out.json"))
+    return invoke(*INSTANCE_COMMANDS["audit"], "--instance", str(write_instance(tmp_path)),
+                  "--grid", str(path))
+
+
+def valid_documents(tmp_path):
+    """One small valid document per input format; the family's files are written too."""
+    fam = write_theorem5_family(tmp_path, n="1", m="1", capacity="4")
+    jobs = [job("j0", 0, 10, 2, 3, 6), job("j1", 1, 4, 1, 2, 4)]
+    return {
+        "instance": cloudreserve.instance_to_dict(instance(8, jobs)),
+        "spec": dict(SPEC, seed=0, tighten_bounds=False),
+        "grid": {"points_per_dim": 2, "include_corners": False},
+        "family": json.loads((fam / "family.json").read_text()),
+    }
+
+
+NAMED_FAULTS = {
+    "bounds-field": ("instance", lambda doc: doc["bounds"].pop("rho_min"),
+                     "bounds: missing field 'rho_min'"),
+    "instance-field": ("instance", lambda doc: doc.pop("capacity"),
+                       "instance: missing field 'capacity'"),
+    "job-field": ("instance", lambda doc: doc["jobs"][1].update(w=1),
+                  "instance: jobs[1]: unknown field 'w'"),
+    "spec-field": ("spec", lambda doc: doc.pop("job_count"),
+                   "workload spec: missing field 'job_count'"),
+    "family-field": ("family", lambda doc: doc.pop("kind"), "family: missing field 'kind'"),
+    "grid-misspelt-key": ("grid", lambda doc: doc.update(include_corner=True),
+                          "deviation grid: unknown field 'include_corner'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NAMED_FAULTS))
+def test_missing_or_unknown_key_names_its_owner(tmp_path, case):
+    kind, edit, message = NAMED_FAULTS[case]
+    document = valid_documents(tmp_path)[kind]
+    edit(document)
+    assert_input_error(run_on(tmp_path, kind, document), message)
+
+
+def test_unreadable_family_files_exit_2(tmp_path):
+    fam = write_theorem5_family(tmp_path)
+    (fam / "I02.json").unlink()
+    assert_input_error(invoke("yao", "--family", str(fam)), "No such file or directory")
+    (fam / "family.json").unlink()
+    assert_input_error(invoke("yao", "--family", str(fam)), "No such file or directory")
+
+
+# --- fuzzed edits of valid files: each is rejected at the boundary ----------
+
+REPLACEMENTS = (None, True, 1.5, [], {}, "x")
+# Keys with a default, so dropping one leaves a valid file.
+OPTIONAL_KEYS = {"seed", "tighten_bounds", "points_per_dim", "include_corners"}
+# Replacements, as (key, value) with the key None for the whole file, that
+# leave a valid file; the grid {} is all defaults.  None grows a count.
+VALID_REPLACEMENTS = {
+    "instance": [("id", "x"), ("jobs", [])],
+    "spec": [("tighten_bounds", True)],
+    "grid": [("include_corners", True), (None, {})],
+    "family": [],
+}
+
+
+def nodes(value, path=()):
+    """Every (path, value) inside a JSON document, the document itself first."""
+    yield path, value
+    if isinstance(value, (dict, list)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        for key, child in items:
+            yield from nodes(child, path + (key,))
+
+
+def rejected_edits(kind, document):
+    """Each key dropped, an unknown key added to each object, and each value
+    replaced, except the edits that leave a valid file."""
+    valid = VALID_REPLACEMENTS[kind]
+    edits = []
+    for path, value in nodes(document):
+        key = path[-1] if path else None
+        if isinstance(key, str) and key not in OPTIONAL_KEYS:
+            edits.append(("drop", path, None))
+        if isinstance(value, dict):
+            edits.append(("add", path, None))
+        edits += [("set", path, new) for new in REPLACEMENTS if (key, new) not in valid]
+    return edits
+
+
+def apply_edit(document, edit):
+    action, path, new = edit
+    if action == "set" and not path:
+        return new
+    document = copy.deepcopy(document)
+    parent = document
+    for key in path[:-1] if action != "add" else path:
+        parent = parent[key]
+    if action == "drop":
+        del parent[path[-1]]
+    elif action == "add":
+        parent["unknown"] = 1
+    else:
+        parent[path[-1]] = new
+    return document
+
+
+@pytest.fixture(scope="module")
+def boundary(tmp_path_factory):
+    root = tmp_path_factory.mktemp("boundary")
+    return root, valid_documents(root)
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(data=st.data())
+def test_edited_input_files_exit_2(boundary, data):
+    root, documents = boundary
+    kind = data.draw(st.sampled_from(sorted(documents)))
+    edit = data.draw(st.sampled_from(rejected_edits(kind, documents[kind])))
+    result = run_on(root, kind, apply_edit(documents[kind], edit))
+    assert_input_error(result, "unknown field 'unknown'" if edit[0] == "add" else "")

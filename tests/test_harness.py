@@ -211,6 +211,11 @@ def test_grid_corners_extend_the_sweeps():
     assert any(len(change) > 1 for change in with_corners)
 
 
+def test_grid_file_defaults_are_the_dataclass_defaults():
+    assert DeviationGrid.from_dict({}) == DeviationGrid()
+    assert DeviationGrid.from_dict({"include_corners": True}) == DeviationGrid(include_corners=True)
+
+
 def test_longer_report_costs_greedy_utility():
     inst = instance(8, [job("x", 0, 10, 2, 1, 6)], rho_max=3)
     cfg = config_for(inst, kind=GREEDY, alpha=Fraction(1, 2))

@@ -84,3 +84,30 @@ def cli_serialisation(path: Path) -> list[str]:
 
 def test_cli_prints_records_and_builds_none():
     assert cli_serialisation(PACKAGE_DIR / "cli.py") == []
+
+
+def key_error_handlers(path: Path) -> list[str]:
+    """``except KeyError`` handlers, bare or in a tuple: a missing key is the
+    reader's fault to name, and any other ``KeyError`` is a bug to show."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if any(isinstance(name, ast.Name) and name.id == "KeyError" for name in caught):
+                found.append(f"{path.name}:{node.lineno}: except KeyError")
+    return found
+
+
+def test_no_module_handles_key_error():
+    modules = sorted(PACKAGE_DIR.glob("*.py"))
+    assert modules
+    violations = [line for path in modules for line in key_error_handlers(path)]
+    assert violations == []
+
+
+def test_cli_has_one_error_clause():
+    tree = ast.parse((PACKAGE_DIR / "cli.py").read_text())
+    (group,) = [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef) and n.name == "_MainGroup"]
+    (invoke,) = [n for n in group.body if isinstance(n, ast.FunctionDef) and n.name == "invoke"]
+    handlers = [n for n in ast.walk(invoke) if isinstance(n, ast.ExceptHandler)]
+    assert len(handlers) == 1
