@@ -50,6 +50,7 @@ from .mechanisms import (
     coin_space,
     draw_coins,
     evaluate_arrival,
+    price_rule,
     quote_price,
     run_sequence,
 )

@@ -28,6 +28,7 @@ from .model import (
     json_shape,
     load_instance,
     read_fields,
+    read_json,
     realized_bounds,
     save_instance,
     to_count,
@@ -363,7 +364,7 @@ def save_family(family: YaoFamily, out_dir: Union[str, Path]) -> Path:
 
 def load_family(directory: Union[str, Path]) -> YaoFamily:
     root = Path(directory)
-    manifest = json.loads(Path(root, "family.json").read_text())
+    manifest = read_json(Path(root, "family.json"))
     args = read_fields(YaoFamily, manifest, "family", FAMILY_FORMAT_VERSION)
     names = json_shape(args["instances"], list, "family: field 'instances'")
     instances = tuple(

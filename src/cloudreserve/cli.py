@@ -9,7 +9,6 @@ was found), so the CLI doubles as a scriptable checker.  A failed claim exits
 
 from __future__ import annotations
 
-import json
 import sys
 from pathlib import Path
 
@@ -25,7 +24,7 @@ from .adversary import (
 )
 from .harness import DeviationGrid, exact_expectation, render, truthfulness_audit, yao_evaluate
 from .mechanisms import MECHANISM_KINDS, MechanismConfig, draw_coins, run_sequence
-from .model import load_instance, parse_rational, save_instance
+from .model import load_instance, parse_rational, read_json, save_instance
 from .oracle import OracleCapExceeded, optimal_welfare
 
 
@@ -117,7 +116,7 @@ def gen_theorem5_cmd(n: int, m: int, capacity: int, out: str) -> None:
 @click.option("--out", type=click.Path(), required=True, help="Output instance file.")
 def gen_random_cmd(spec: str, seed: int | None, out: str) -> None:
     """Seeded random workload from a spec file."""
-    workload = RandomWorkloadSpec.from_dict(json.loads(Path(spec).read_text()))
+    workload = RandomWorkloadSpec.from_dict(read_json(spec))
     inst = gen_random(workload, seed=seed)
     save_instance(inst, out)
     click.echo(f"wrote {len(inst.jobs)} jobs to {out}")
@@ -185,7 +184,7 @@ def audit_cmd(
     inst = load_instance(instance)
     config = _mechanism_config(mechanism, inst, alpha)
     coins = draw_coins(config, seed)
-    grid_spec = DeviationGrid.from_dict(json.loads(Path(grid).read_text())) if grid else DeviationGrid()
+    grid_spec = DeviationGrid.from_dict(read_json(grid)) if grid else DeviationGrid()
     report = truthfulness_audit(config, coins, inst, grid_spec, instance_id=Path(instance).stem)
     click.echo(render(report, output_format), nl=False)
     sys.exit(0 if not report.profitable_deviations else 1)

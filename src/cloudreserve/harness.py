@@ -16,7 +16,8 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import singledispatch
-from itertools import combinations, product
+from itertools import accumulate, combinations, product, repeat
+from operator import sub
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
@@ -28,7 +29,7 @@ from .mechanisms import (
     Outcome,
     ceil_log2,
     coin_space,
-    evaluate_arrival,
+    price_rule,
     run_sequence,
 )
 from .model import (
@@ -384,8 +385,7 @@ class AuditReport:
 
 
 def _axis_points(job: Reservation, capacity: int, points: int) -> dict[str, list]:
-    steps = [Fraction(j, points - 1) for j in range(points)]
-    span = job.slack if job.slack > 0 else job.t
+    window_step = (job.slack if job.slack > 0 else job.t) / (points - 1)
     demand_points: list[int] = []
     for cand in (
         [job.c, job.c + 1, job.c + 2, 2 * job.c, capacity, capacity + 1]
@@ -395,16 +395,16 @@ def _axis_points(job: Reservation, capacity: int, points: int) -> dict[str, list
             demand_points.append(cand)
         if len(demand_points) == points:
             break
-    value_multipliers = [Fraction(2 * j + 1, points) for j in range(points)]
-    if Fraction(1) not in value_multipliers:
-        closest = min(range(points), key=lambda j: abs(value_multipliers[j] - 1))
-        value_multipliers[closest] = Fraction(1)
+    # v * (2j + 1) / points, with the multiplier nearest 1 made exactly 1
+    value_unit = job.v / points
+    values = list(accumulate(repeat(2 * value_unit, points - 1), initial=value_unit))
+    values[(points - 1) // 2] = job.v
     return {
-        "a": [job.a + span * f for f in steps],
-        "d": [job.d - span * f for f in steps],
-        "t": [job.t * (1 + f) for f in steps],
+        "a": list(accumulate(repeat(window_step, points - 1), initial=job.a)),
+        "d": list(accumulate(repeat(window_step, points - 1), sub, initial=job.d)),
+        "t": list(accumulate(repeat(job.t / (points - 1), points - 1), initial=job.t)),
         "c": demand_points,
-        "v": [job.v * mult for mult in value_multipliers],
+        "v": values,
     }
 
 
@@ -439,40 +439,56 @@ def truthfulness_audit(
 ) -> AuditReport:
     """Search the misreport grid for a deviation that beats truthful utility.
 
-    Replays each job against the truthful run with only that job's report
-    changed.  Earlier arrivals cannot observe the deviator's report and the
-    deviator's utility (true value minus charged price if accepted, else 0)
-    is settled at its own arrival, so each deviation re-evaluates a single
-    decision against the shared truthful prefix timeline.
+    Earlier arrivals cannot observe the deviator's report, and its utility
+    (true value minus charged price if accepted, else 0) is settled at its own
+    arrival, so each deviation is one decision on the raw reported fields
+    against the truthful prefix timeline, never committed.  Two premises let
+    it reuse the truthful price p and earliest start s*: the price reads only
+    the reported t and c, so a deviation in v, a or d keeps p
+    (``test_price_reads_only_length_and_demand``); and earliest-fit in a
+    narrowed window (a-hat >= a, d-hat <= d) is s* whenever s* fits in it, and
+    none when s* is None or ends after d-hat
+    (``test_narrowed_window_keeps_the_earliest_start``).  tests/test_audit.py
+    compares whole reports with tests/audit_reference.py, the audit with one
+    copy and one ``evaluate_arrival`` per deviation.
     """
-    prefix_timelines: list[CapacityTimeline] = []
-    truthful_utilities: list[Fraction] = []
+    price_of = price_rule(config, coins)
     timeline = CapacityTimeline.empty(config.capacity)
-    for job in inst.jobs:
-        prefix_timelines.append(timeline)
-        decision, timeline = evaluate_arrival(config, coins, timeline, job)
-        truthful_utilities.append(
-            job.v - decision.price if decision.accepted else Fraction(0)
-        )
-
     tested = 0
     profitable: list[ProfitableDeviation] = []
-    for idx, job in enumerate(inst.jobs):
+    for job in inst.jobs:
+        price = price_of(job.t, job.c)
+        margin = job.v - price
+        searched = margin >= 0  # s* is found lazily, at most once per job
+        start = timeline.earliest_feasible_start(job) if searched else None
+        accepted = start is not None
+        truthful = margin if accepted else Fraction(0)
         for changes in deviations_for(job, config.capacity, grid):
-            reported = job.report(**changes)
-            decision, _ = evaluate_arrival(
-                config, coins, prefix_timelines[idx], reported
-            )
-            utility = job.v - decision.price if decision.accepted else Fraction(0)
             tested += 1
-            if utility > truthful_utilities[idx]:
-                profitable.append(
-                    ProfitableDeviation(
-                        job_id=job.id,
-                        changes=tuple(sorted(changes.items())),
-                        utility_gain=utility - truthful_utilities[idx],
-                    )
-                )
+            repriced = "t" in changes or "c" in changes
+            t, c = changes.get("t", job.t), changes.get("c", job.c)
+            reported_price = price_of(t, c) if repriced else price
+            # a rejection's utility 0 never beats the truthful utility, which is >= 0
+            if changes.get("v", job.v) < reported_price:
+                continue
+            a, d = changes.get("a", job.a), changes.get("d", job.d)
+            if not (repriced or searched):
+                start, searched = timeline.earliest_feasible_start(job), True
+            if repriced:
+                slot = timeline.earliest_fit(a, d, t, c)
+            elif start is None or start + t > d:
+                continue
+            else:
+                slot = start if start >= a else timeline.earliest_fit(a, d, t, c)
+            if slot is None:
+                continue
+            utility = job.v - reported_price if repriced else margin
+            if utility > truthful:
+                profitable.append(ProfitableDeviation(
+                    job.id, tuple(sorted(changes.items())), utility - truthful
+                ))
+        if accepted:
+            timeline = timeline.commit(job, start)
     return AuditReport(
         instance_id=instance_id,
         mechanism=config.kind,

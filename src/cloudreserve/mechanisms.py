@@ -27,7 +27,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from typing import Optional
+from typing import Callable, Optional
 
 from .model import (
     Decision,
@@ -146,17 +146,16 @@ def coin_space(config: MechanismConfig) -> tuple[Coins, ...]:
     return tuple(Coins(i=i, u=u, v=v) for u, v in bands for i in capacity_coins)
 
 
-def quote_price(config: MechanismConfig, coins: Coins, job: Reservation) -> Fraction:
-    """The posted price for a reported job.
+def price_rule(config: MechanismConfig, coins: Coins) -> Callable[[Fraction, int], Fraction]:
+    """The posted price as a function of the reported length t and demand c,
+    never of v, the window, or what happened earlier in the run.
 
-    Depends only on the configuration, the coins, and the reported t and c;
-    never on v, the window, or what happened earlier in the run.  Pins the
-    coins the kind does not draw and evaluates the binary-filter formula.
-    On every report ``validate_instance`` admits (t >= t_min, c >= 1) this
-    is the kind's own row of the module's table.  Outside those bounds the
-    pinned factors still apply: random-pricing and greedy floor the length
-    at t_min, and greedy and bounded-binary-filter floor the demand at 1.
-    Band coins outside the coin space [1, L_k] x [1, L_T] are rejected.
+    Pins the coins the kind does not draw, checks the rest once against the
+    coin space [1, L_k] x [1, L_T], and folds the binary-filter formula's
+    constants (a coin at 1 costs no Fraction product: ``quote_price`` binds a
+    rule per call).  On every report ``validate_instance`` admits (t >= t_min,
+    c >= 1) this is the kind's own row of the module's table; outside them the
+    pinned factors still floor the length at t_min and the demand at 1.
     """
     u, v = (coins.u, coins.v) if config.banded else (1, 1)
     if u is None or v is None:
@@ -166,11 +165,18 @@ def quote_price(config: MechanismConfig, coins: Coins, job: Reservation) -> Frac
         raise ValueError(f"coins u={u}, v={v} outside [1, {level_k}] x [1, {level_t}]")
     bounds = config.bounds
     threshold = Fraction(config.capacity, 2) if config.capacity_coin and coins.i == 1 else 1
-    density_step = 2 ** (u - 1)
-    demand_term = max(threshold, job.c)
-    length_term = max(bounds.t_min * 2 ** (v - 1), job.t)
-    # the integer product first spares one Fraction multiplication
-    return bounds.rho_min * (density_step * demand_term) * length_term
+    rate = bounds.rho_min * 2 ** (u - 1) if u > 1 else bounds.rho_min
+    length_floor = bounds.t_min * 2 ** (v - 1) if v > 1 else bounds.t_min
+
+    def price(t: Fraction, c: int) -> Fraction:
+        return rate * max(threshold, c) * max(length_floor, t)
+
+    return price
+
+
+def quote_price(config: MechanismConfig, coins: Coins, job: Reservation) -> Fraction:
+    """The posted price for a reported job: ``price_rule`` at its t and c."""
+    return price_rule(config, coins)(job.t, job.c)
 
 
 def evaluate_arrival(

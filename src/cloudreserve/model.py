@@ -360,5 +360,19 @@ def save_instance(inst: Instance, path: Union[str, Path]) -> None:
     Path(path).write_text(json.dumps(instance_to_dict(inst), indent=2) + "\n")
 
 
+def read_json(path: Union[str, Path]):
+    """A JSON file's value; a key repeated in one object is a ValueError naming it."""
+
+    def unique_keys(pairs: list) -> dict:
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ValueError(f"{path}: repeated key {key!r}")
+            obj[key] = value
+        return obj
+
+    return json.loads(Path(path).read_text(), object_pairs_hook=unique_keys)
+
+
 def load_instance(path: Union[str, Path]) -> Instance:
-    return instance_from_dict(json.loads(Path(path).read_text()))
+    return instance_from_dict(read_json(path))

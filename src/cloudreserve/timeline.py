@@ -72,7 +72,11 @@ class CapacityTimeline:
         return peak
 
     def earliest_feasible_start(self, job: Reservation) -> Optional[Fraction]:
-        """Minimum s in [a, d-t] with residual >= c throughout [s, s+t), if any.
+        """Minimum s in [a, d-t] with residual >= c throughout [s, s+t), if any."""
+        return self.earliest_fit(job.a, job.d, job.t, job.c)
+
+    def earliest_fit(self, a: Fraction, d: Fraction, t: Fraction, c: int) -> Optional[Fraction]:
+        """``earliest_feasible_start`` on raw reported fields.
 
         Sweeps forward from s = a over the segments under [s, s+t).  A segment
         whose level exceeds C - c rules out every start before its end, so s
@@ -80,16 +84,15 @@ class CapacityTimeline:
         feasible start is therefore the release or a breakpoint, and each
         segment is visited at most once.
         """
-        latest = job.d - job.t
-        if latest < job.a:
+        latest = d - t
+        if latest < a:
             return None
-        free = self.capacity - job.c
+        free = self.capacity - c
         if free < 0:
             return None
         points = self.points
         count = len(points)
-        start = job.a
-        end = start + job.t
+        start, end = a, a + t
         k = bisect_right(points, start, key=_time)  # first breakpoint after start
         level = points[k - 1][1] if k else 0  # level of the segment holding start
         while True:
@@ -97,7 +100,7 @@ class CapacityTimeline:
                 if k == count or points[k][0] > latest:
                     return None
                 start, level = points[k]
-                end = start + job.t
+                end = start + t
             elif k == count or points[k][0] >= end:
                 return start
             else:

@@ -477,13 +477,15 @@ def write_theorem5_family(tmp_path, n="2", m="1", capacity="8"):
 
 
 def run_on(tmp_path, kind, document):
-    """Write ``document`` as the input file of ``kind`` and run the command that reads it."""
+    """Write ``document`` (or JSON text) as the input file of ``kind`` and run
+    the command that reads it."""
+    text = document if isinstance(document, str) else json.dumps(document)
     if kind == "family":
         fam = tmp_path / "fam"
-        (fam / "family.json").write_text(json.dumps(document))
+        (fam / "family.json").write_text(text)
         return invoke("yao", "--family", str(fam))
     path = tmp_path / f"{kind}.json"
-    path.write_text(json.dumps(document))
+    path.write_text(text)
     if kind == "instance":
         return invoke("oracle", "--instance", str(path))
     if kind == "spec":
@@ -525,6 +527,27 @@ def test_missing_or_unknown_key_names_its_owner(tmp_path, case):
     document = valid_documents(tmp_path)[kind]
     edit(document)
     assert_input_error(run_on(tmp_path, kind, document), message)
+
+
+def repeat_first_key(obj: dict) -> str:
+    """The object's JSON text with its first key written twice, at the same value."""
+    key = next(iter(obj))
+    return "{" + f"{json.dumps(key)}: {json.dumps(obj[key])}, " + json.dumps(obj)[1:]
+
+
+@pytest.mark.parametrize("kind", ["instance", "spec", "grid", "family"])
+def test_repeated_key_exits_2(tmp_path, kind):
+    document = valid_documents(tmp_path)[kind]
+    result = run_on(tmp_path, kind, repeat_first_key(document))
+    assert_input_error(result, f"repeated key {next(iter(document))!r}")
+
+
+def test_repeated_key_inside_a_job_exits_2(tmp_path):
+    document = valid_documents(tmp_path)["instance"]
+    jobs = ", ".join(repeat_first_key(j) if i == 1 else json.dumps(j)
+                     for i, j in enumerate(document["jobs"]))
+    text = json.dumps(dict(document, jobs=[])).replace('"jobs": []', f'"jobs": [{jobs}]')
+    assert_input_error(run_on(tmp_path, "instance", text), "repeated key 'id'")
 
 
 def test_unreadable_family_files_exit_2(tmp_path):

@@ -4,6 +4,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import Phase, find, settings
 
 from cloudreserve import (
     BINARY_FILTER,
@@ -25,6 +26,7 @@ from cloudreserve import (
     expected_performance,
     gen_theorem3,
     gen_theorem5,
+    price_rule,
     quote_price,
     record,
     render,
@@ -34,7 +36,9 @@ from cloudreserve import (
     yao_evaluate,
 )
 from cloudreserve.harness import AuditReport, ProfitableDeviation
+import audit_reference
 from conftest import instance, job, make_workload
+from test_mechanisms import misreports, reads_only_length_and_demand
 
 
 def config_for(inst, kind=RANDOM_PRICING, alpha=None):
@@ -253,24 +257,38 @@ def test_audit_catches_a_broken_mechanism(monkeypatch):
 
     inst = instance(8, [job("x", 0, 10, 2, 3, 6)])
     cfg = config_for(inst)
-    real_evaluate = harness_module.evaluate_arrival
 
-    def discounted(config, coins, timeline, candidate):
-        if candidate.t > 2:  # longer reports skip the filter and get a rebate
-            from cloudreserve.model import Decision
+    def rebate_for_long_reports(config, coins):
+        real = price_rule(config, coins)
+        return lambda t, c: Fraction(1) if t > 2 else real(t, c)
 
-            start = timeline.earliest_feasible_start(candidate)
-            if start is not None:
-                return (
-                    Decision(accepted=True, price=Fraction(1), start=start),
-                    timeline.commit(candidate, start),
-                )
-        return real_evaluate(config, coins, timeline, candidate)
-
-    monkeypatch.setattr(harness_module, "evaluate_arrival", discounted)
+    monkeypatch.setattr(harness_module, "price_rule", rebate_for_long_reports)
     report = harness_module.truthfulness_audit(cfg, Coins(i=0), inst)
     assert report.profitable_deviations
     assert all(dev.utility_gain > 0 for dev in report.profitable_deviations)
+
+
+def test_only_the_premise_test_sees_a_price_that_reads_the_value(monkeypatch):
+    """A price that reads v breaks the audit's first premise.  The audit
+    reuses the truthful price for a value misreport, so it cannot see the
+    fault; the premise's property test finds it, and the one-copy-per-deviation
+    reference audit confirms that the fault pays."""
+    import cloudreserve.mechanisms as mechanisms_module
+
+    def discount_for_high_values(config, coins, reported):
+        price = quote_price(config, coins, reported)
+        return price / 2 if reported.v > 10 else price
+
+    find(
+        misreports(),
+        lambda case: not reads_only_length_and_demand(discount_for_high_values, *case),
+        settings=settings(database=None, derandomize=True, phases=[Phase.generate]),
+    )
+    inst = instance(8, [job("x", 0, 10, 2, 3, 6)])
+    cfg = config_for(inst)
+    monkeypatch.setattr(mechanisms_module, "quote_price", discount_for_high_values)
+    assert truthfulness_audit(cfg, Coins(i=0), inst).profitable_deviations == ()
+    assert audit_reference.truthfulness_audit(cfg, Coins(i=0), inst).profitable_deviations
 
 
 def test_audit_all_coins_shapes():

@@ -25,6 +25,7 @@ from cloudreserve import (
     run_sequence,
 )
 from conftest import instance, job, make_workload
+from test_pricing_reference import priced_reports
 
 
 def config(kind, capacity=8, rho_min=1, rho_max=2, t_min=1, t_max=2, alpha=None):
@@ -166,6 +167,36 @@ def test_price_monotone_in_reported_length_and_demand(kind, i, u, v, t, c, dt, d
     j = job("x", 0, 100, t, c, 1)
     bigger = j.report(t=t + dt, c=c + dc)
     assert quote_price(cfg, coins, bigger) >= quote_price(cfg, coins, j)
+
+
+@st.composite
+def misreports(draw):
+    """A configuration, an in-bounds report, and a second report with the same
+    length and demand but any window and any positive value."""
+    config, _, reported = draw(priced_reports())
+    offsets = st.fractions(min_value=-8, max_value=8, max_denominator=8)
+    a = reported.a + draw(offsets)
+    other = reported.report(
+        a=a,
+        d=a + reported.t + abs(draw(offsets)),
+        v=draw(st.fractions(min_value=Fraction(1, 64), max_value=64, max_denominator=64)),
+    )
+    return config, reported, other
+
+
+def reads_only_length_and_demand(quote, config, reported, other) -> bool:
+    """Whether ``quote`` prices the two reports alike under every coin tuple."""
+    return all(
+        quote(config, coins, reported) == quote(config, coins, other)
+        for coins in coin_space(config)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(misreports())
+def test_price_reads_only_length_and_demand(case):
+    """The audit's first premise: a misreport of v, a or d keeps the price."""
+    assert reads_only_length_and_demand(quote_price, *case)
 
 
 # --- arrivals ---------------------------------------------------------------

@@ -219,3 +219,39 @@ def test_commits_keep_the_profile_canonical(profile):
         probes += [times[0] - 1, times[-1] + 1]
     for at in probes:
         assert tl.usage_at(at) == sum(c for s, e, c in committed if s <= at < e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rational_profiles(),
+    st.tuples(
+        st.integers(min_value=0, max_value=80),  # release, in quarters
+        st.integers(min_value=1, max_value=24),  # length, in quarters
+        st.integers(min_value=0, max_value=32),  # slack, in quarters
+        st.integers(min_value=1, max_value=65),  # demand
+    ),
+    st.integers(min_value=0, max_value=40),  # release raised by, in quarters
+    st.integers(min_value=0, max_value=40),  # deadline lowered by, in quarters
+)
+def test_narrowed_window_keeps_the_earliest_start(profile, probe, later, earlier):
+    """The audit's second premise, on both timelines: earliest-fit in a
+    narrowed window (a-hat >= a, d-hat <= d) never starts before the wide
+    window's earliest start s*, finds none when s* is None, and returns s*
+    whenever s* fits inside the narrowed window."""
+    capacity, jobs = profile
+    a, t, slack, c = probe
+    wide = job("p", quarters(a), quarters(a + t + slack), quarters(t), c, 1)
+    narrow = wide.report(a=wide.a + quarters(later), d=wide.d - quarters(earlier))
+    for timeline in (CapacityTimeline.empty(capacity), reference.CapacityTimeline.empty(capacity)):
+        for j, _ in jobs:
+            start = timeline.earliest_feasible_start(j)
+            if start is not None:
+                timeline = timeline.commit(j, start)
+        best = timeline.earliest_feasible_start(wide)
+        found = timeline.earliest_feasible_start(narrow)
+        if best is None:
+            assert found is None
+        elif narrow.a <= best and best + wide.t <= narrow.d:
+            assert found == best
+        else:
+            assert found is None or found > best
