@@ -442,15 +442,15 @@ def truthfulness_audit(
     Earlier arrivals cannot observe the deviator's report, and its utility
     (true value minus charged price if accepted, else 0) is settled at its own
     arrival, so each deviation is one decision on the raw reported fields
-    against the truthful prefix timeline, never committed.  Two premises let
-    it reuse the truthful price p and earliest start s*: the price reads only
-    the reported t and c, so a deviation in v, a or d keeps p
-    (``test_price_reads_only_length_and_demand``); and earliest-fit in a
-    narrowed window (a-hat >= a, d-hat <= d) is s* whenever s* fits in it, and
-    none when s* is None or ends after d-hat
-    (``test_narrowed_window_keeps_the_earliest_start``).  tests/test_audit.py
-    compares whole reports with tests/audit_reference.py, the audit with one
-    copy and one ``evaluate_arrival`` per deviation.
+    against the truthful prefix timeline, never committed.  Every deviation is
+    decided by one price bar: the truthful price p if the truthful report is
+    accepted, else the true value v.  A deviation priced p-hat pays exactly
+    when p-hat < bar, its reported value covers p-hat, and earliest-fit finds
+    a slot for its reported window, length and demand; its gain is
+    bar - p-hat.  p-hat is p when neither t nor c changed, because the price
+    reads only those (``test_price_reads_only_length_and_demand``).
+    tests/test_audit.py compares whole reports with tests/audit_reference.py,
+    the audit with one copy and one ``evaluate_arrival`` per deviation.
     """
     price_of = price_rule(config, coins)
     timeline = CapacityTimeline.empty(config.capacity)
@@ -458,36 +458,23 @@ def truthfulness_audit(
     profitable: list[ProfitableDeviation] = []
     for job in inst.jobs:
         price = price_of(job.t, job.c)
-        margin = job.v - price
-        searched = margin >= 0  # s* is found lazily, at most once per job
-        start = timeline.earliest_feasible_start(job) if searched else None
-        accepted = start is not None
-        truthful = margin if accepted else Fraction(0)
+        start = timeline.earliest_feasible_start(job) if job.v >= price else None
+        bar = job.v if start is None else price
         for changes in deviations_for(job, config.capacity, grid):
             tested += 1
-            repriced = "t" in changes or "c" in changes
             t, c = changes.get("t", job.t), changes.get("c", job.c)
-            reported_price = price_of(t, c) if repriced else price
-            # a rejection's utility 0 never beats the truthful utility, which is >= 0
-            if changes.get("v", job.v) < reported_price:
-                continue
-            a, d = changes.get("a", job.a), changes.get("d", job.d)
-            if not (repriced or searched):
-                start, searched = timeline.earliest_feasible_start(job), True
-            if repriced:
-                slot = timeline.earliest_fit(a, d, t, c)
-            elif start is None or start + t > d:
-                continue
-            else:
-                slot = start if start >= a else timeline.earliest_fit(a, d, t, c)
-            if slot is None:
-                continue
-            utility = job.v - reported_price if repriced else margin
-            if utility > truthful:
+            reported_price = price_of(t, c) if "t" in changes or "c" in changes else price
+            if (
+                reported_price < bar
+                and changes.get("v", job.v) >= reported_price
+                and timeline.earliest_fit(
+                    changes.get("a", job.a), changes.get("d", job.d), t, c
+                ) is not None
+            ):
                 profitable.append(ProfitableDeviation(
-                    job.id, tuple(sorted(changes.items())), utility - truthful
+                    job.id, tuple(sorted(changes.items())), bar - reported_price
                 ))
-        if accepted:
+        if start is not None:
             timeline = timeline.commit(job, start)
     return AuditReport(
         instance_id=instance_id,

@@ -1,6 +1,6 @@
 """The misreport audit against the reference that copies and evaluates every
 deviation: whole reports must be equal, profitable lists in the same order,
-under the real price rule and under two broken ones."""
+under the real price rule, under two broken ones and under a broken timeline."""
 
 from fractions import Fraction
 from unittest import mock
@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 import audit_reference
 from cloudreserve import (
     MECHANISM_KINDS,
+    CapacityTimeline,
+    Coins,
     DeviationGrid,
     MechanismConfig,
     coin_space,
@@ -19,7 +21,7 @@ from cloudreserve import (
     mechanisms,
     truthfulness_audit,
 )
-from conftest import DENSITIES_8, LENGTHS_8, make_workload
+from conftest import DENSITIES_8, LENGTHS_8, instance, job, make_workload
 
 real_price_rule = mechanisms.price_rule
 
@@ -98,3 +100,46 @@ def test_grid_matches_reference():
                     assert harness.deviations_for(job, 9, grid) == (
                         audit_reference.deviations_for(job, 9, grid)
                     )
+
+
+def one_job_case():
+    """C = 8 and one job priced 6 by greedy, whose one coin tuple is i = 0."""
+    inst = instance(8, [job("j", 0, 10, 2, 3, 9)])
+    return MechanismConfig(kind="greedy", bounds=inst.bounds, capacity=8), inst
+
+
+def test_audit_asks_the_timeline_for_every_misreport_that_could_pay():
+    """A timeline that finds no slot from release 0 but one from any later
+    release: the truthful report is rejected, so the bar is v = 9, and each
+    later release is served at price 6."""
+    config, inst = one_job_case()
+    coins = Coins(i=0)
+    real_fit = CapacityTimeline.earliest_fit
+
+    def late_fit(self, a, d, t, c):
+        return None if a == 0 else real_fit(self, a, d, t, c)
+
+    with mock.patch.object(CapacityTimeline, "earliest_fit", late_fit):
+        fast = truthfulness_audit(config, coins, inst)
+        assert fast == audit_reference.truthfulness_audit(config, coins, inst)
+    assert [(d.changes, d.utility_gain) for d in fast.profitable_deviations] == [
+        ((("a", Fraction(a)),), Fraction(3)) for a in (2, 4, 6, 8)
+    ]
+
+
+def test_audit_checks_the_reported_value_against_the_reported_price():
+    """Under a rule that rebates long reports, doubling t drops the price from
+    3/2 to 3/4; only the report whose value covers 3/4 is served."""
+    config, inst = one_job_case()
+    (truthful,) = inst.jobs
+
+    def two_misreports(job, capacity, grid):
+        return [{"t": 2 * job.t, "v": job.v / 100}, {"t": 2 * job.t, "v": 2 * job.v}]
+
+    with mock.patch.object(harness, "deviations_for", two_misreports), \
+            mock.patch.object(audit_reference, "deviations_for", two_misreports):
+        ((fast, slow),) = audits(config, inst, DeviationGrid(), rebate_for_long_reports)
+    assert fast == slow
+    assert [(d.changes, d.utility_gain) for d in fast.profitable_deviations] == [
+        ((("t", 2 * truthful.t), ("v", 2 * truthful.v)), Fraction(3, 4))
+    ]

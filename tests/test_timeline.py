@@ -221,23 +221,27 @@ def test_commits_keep_the_profile_canonical(profile):
         assert tl.usage_at(at) == sum(c for s, e, c in committed if s <= at < e)
 
 
+# a probe job (release, length, slack, demand), in quarters but for the demand
+probes = st.tuples(
+    st.integers(min_value=0, max_value=80),
+    st.integers(min_value=1, max_value=24),
+    st.integers(min_value=0, max_value=32),
+    st.integers(min_value=1, max_value=65),
+)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     rational_profiles(),
-    st.tuples(
-        st.integers(min_value=0, max_value=80),  # release, in quarters
-        st.integers(min_value=1, max_value=24),  # length, in quarters
-        st.integers(min_value=0, max_value=32),  # slack, in quarters
-        st.integers(min_value=1, max_value=65),  # demand
-    ),
+    probes,
     st.integers(min_value=0, max_value=40),  # release raised by, in quarters
     st.integers(min_value=0, max_value=40),  # deadline lowered by, in quarters
 )
 def test_narrowed_window_keeps_the_earliest_start(profile, probe, later, earlier):
-    """The audit's second premise, on both timelines: earliest-fit in a
-    narrowed window (a-hat >= a, d-hat <= d) never starts before the wide
-    window's earliest start s*, finds none when s* is None, and returns s*
-    whenever s* fits inside the narrowed window."""
+    """A timeline property, on both timelines: earliest-fit in a narrowed
+    window (a-hat >= a, d-hat <= d) never starts before the wide window's
+    earliest start s*, finds none when s* is None, and returns s* whenever s*
+    fits inside the narrowed window."""
     capacity, jobs = profile
     a, t, slack, c = probe
     wide = job("p", quarters(a), quarters(a + t + slack), quarters(t), c, 1)
@@ -255,3 +259,31 @@ def test_narrowed_window_keeps_the_earliest_start(profile, probe, later, earlier
             assert found == best
         else:
             assert found is None or found > best
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rational_profiles(),
+    probes,
+    st.integers(min_value=0, max_value=40),  # length raised by, in quarters
+    st.integers(min_value=0, max_value=8),  # demand raised by
+)
+def test_grown_report_never_starts_earlier(profile, probe, longer, wider):
+    """On both timelines, a report that grows in the same window (t-hat >= t,
+    c-hat >= c) finds no start before the truthful earliest start s*, and
+    none at all when s* is None."""
+    capacity, jobs = profile
+    a, t, slack, c = probe
+    truthful = job("p", quarters(a), quarters(a + t + slack), quarters(t), c, 1)
+    grown = truthful.report(t=truthful.t + quarters(longer), c=truthful.c + wider)
+    for timeline in (CapacityTimeline.empty(capacity), reference.CapacityTimeline.empty(capacity)):
+        for j, _ in jobs:
+            start = timeline.earliest_feasible_start(j)
+            if start is not None:
+                timeline = timeline.commit(j, start)
+        best = timeline.earliest_feasible_start(truthful)
+        found = timeline.earliest_feasible_start(grown)
+        if best is None:
+            assert found is None
+        else:
+            assert found is None or found >= best
