@@ -10,6 +10,9 @@ find it, its levels are raised, and the untouched head and tail are shared
 slices of the old profile, so a commit costs O(log B + W) comparisons for B
 breakpoints of which W lie in the range.  ``earliest_feasible_start`` is one
 forward sweep that visits each segment after the release at most once.
+
+Times are ints or Fractions, one kind per timeline: the mechanisms place
+reported Fractions, and the offline oracle places times scaled to ints.
 """
 
 from __future__ import annotations
@@ -109,9 +112,10 @@ class CapacityTimeline:
 
     def commit(self, job: Reservation, start: Fraction) -> "CapacityTimeline":
         """A new timeline with usage raised by job.c on [start, start + job.t)."""
-        return self._add(start, start + job.t, job.c)
+        return self.add(start, start + job.t, job.c)
 
-    def _add(self, start: Fraction, end: Fraction, amount: int) -> "CapacityTimeline":
+    def add(self, start: Fraction, end: Fraction, amount: int) -> "CapacityTimeline":
+        """``commit`` on raw fields: usage raised by ``amount`` on [start, end)."""
         if end <= start:
             raise ValueError("empty occupation interval")
         points = self.points

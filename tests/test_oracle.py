@@ -4,9 +4,14 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
+import oracle_reference as reference
 from cloudreserve import (
     CapacityTimeline,
+    Instance,
+    MarketBounds,
     MechanismConfig,
     OracleCapExceeded,
     RANDOM_PRICING,
@@ -16,6 +21,7 @@ from cloudreserve import (
     run_sequence,
     subset_feasible,
 )
+from cloudreserve import oracle
 from conftest import instance, job, make_workload
 
 
@@ -137,3 +143,72 @@ def test_oracle_matches_exhaustive_enumeration():
         inst = integer_workload(seed)
         assert all(j.a.denominator == 1 and j.t.denominator == 1 for j in inst.jobs)
         assert optimal_welfare(inst).opt_welfare == exhaustive_opt(inst)
+
+
+# --- differential check against the reference oracle -----------------------
+
+
+def sixths(top: int):
+    """Rationals n/den with 0 <= n <= top and den in 1..6."""
+    return st.builds(Fraction, st.integers(min_value=0, max_value=top), st.integers(min_value=1, max_value=6))
+
+
+@st.composite
+def rational_instances(draw):
+    """At most 5 jobs with rational times of denominators 1-6; the bounds are
+    the envelope the jobs span, so every instance validates."""
+    capacity = draw(st.integers(min_value=1, max_value=4))
+    rows = draw(st.lists(
+        st.tuples(
+            sixths(24),  # release
+            sixths(12).filter(lambda t: t > 0),  # length
+            sixths(12),  # slack
+            st.integers(min_value=1, max_value=capacity),  # demand
+            sixths(12).filter(lambda rho: rho > 0),  # density
+        ),
+        max_size=5,
+    ))
+    jobs = [
+        job(f"j{idx}", a, a + t + slack, t, c, rho * c * t)
+        for idx, (a, t, slack, c, rho) in enumerate(rows)
+    ]
+    densities = [j.density for j in jobs] or [Fraction(1)]
+    lengths = [j.t for j in jobs] or [Fraction(1)]
+    bounds = MarketBounds(min(densities), max(densities), min(lengths), max(lengths))
+    return Instance(capacity=capacity, bounds=bounds, jobs=tuple(jobs))
+
+
+def search(module, inst, **caps):
+    """``optimal_welfare``'s result, or the cap it hit, as comparable data."""
+    try:
+        result = module.optimal_welfare(inst, **caps)
+    except module.OracleCapExceeded as exc:
+        return ("cap", str(exc), exc.explored_nodes)
+    return (result.opt_welfare, result.witness, result.explored_nodes)
+
+
+# The reference needs seconds for some 5-job searches; every search here stops
+# at this many nodes, and a search that hits the cap is compared by its message.
+REFERENCE_NODE_CAP = 10**5
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_instances(), st.data())
+def test_matches_reference_oracle(inst, data):
+    expected = search(reference, inst, node_cap=REFERENCE_NODE_CAP)
+    assert search(oracle, inst, node_cap=REFERENCE_NODE_CAP) == expected
+    subset = data.draw(st.lists(st.sampled_from([j.id for j in inst.jobs]), unique=True)
+                       if inst.jobs else st.just([]))
+    try:
+        witness = reference.subset_feasible(inst, subset, budget=reference._Budget(REFERENCE_NODE_CAP))
+    except reference.OracleCapExceeded:
+        reject()  # subset_feasible takes no cap: both would search 10^6 nodes
+    found = subset_feasible(inst, subset)
+    assert found == witness
+    assert all(type(start) is Fraction for _, start in found or ())
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_instances(), st.integers(min_value=1, max_value=60))
+def test_matches_reference_oracle_at_small_node_caps(inst, node_cap):
+    assert search(oracle, inst, node_cap=node_cap) == search(reference, inst, node_cap=node_cap)

@@ -111,3 +111,24 @@ def test_cli_has_one_error_clause():
     (invoke,) = [n for n in group.body if isinstance(n, ast.FunctionDef) and n.name == "invoke"]
     handlers = [n for n in ast.walk(invoke) if isinstance(n, ast.ExceptHandler)]
     assert len(handlers) == 1
+
+
+def private_attribute_reads(path: Path) -> list[str]:
+    """``x._name`` where ``x`` is not ``self`` or ``cls``: a leading underscore
+    marks a name its own class keeps, so no other code reaches for it.
+    Dunders such as ``__name__`` are public protocol and pass."""
+    return [
+        f"{path.name}:{node.lineno}: .{node.attr}"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute)
+        and node.attr.startswith("_")
+        and not node.attr.endswith("__")
+        and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
+    ]
+
+
+def test_no_module_reads_private_attributes_of_other_objects():
+    modules = sorted(PACKAGE_DIR.glob("*.py"))
+    assert modules
+    violations = [line for path in modules for line in private_attribute_reads(path)]
+    assert violations == []

@@ -167,15 +167,28 @@ def rational_profiles(draw):
     return capacity, jobs
 
 
+def in_quarters(x: Fraction) -> int:
+    """A quarter-grid time on the integer time base L = 4."""
+    assert (4 * x).denominator == 1
+    return (4 * x).numerator
+
+
 @settings(max_examples=300, deadline=None)
 @given(rational_profiles())
 def test_matches_reference_timeline(profile):
+    """The timeline agrees with the reference on rational times, and a third
+    timeline fed every time scaled by 4 to an int (as the oracle feeds it)
+    finds the same starts and keeps the same points, each times 4."""
     capacity, jobs = profile
     fast = CapacityTimeline.empty(capacity)
     slow = reference.CapacityTimeline.empty(capacity)
+    scaled = CapacityTimeline.empty(capacity)
     for j, forced in jobs:
         start = fast.earliest_feasible_start(j)
         assert start == slow.earliest_feasible_start(j)
+        fit = scaled.earliest_fit(in_quarters(j.a), in_quarters(j.d), in_quarters(j.t), j.c)
+        assert fit == (None if start is None else in_quarters(start))
+        assert fit is None or type(fit) is int
         if forced is not None:
             start = forced
         if start is None:
@@ -186,11 +199,16 @@ def test_matches_reference_timeline(profile):
             with pytest.raises(CapacityError) as caught:
                 fast.commit(j, start)
             assert str(caught.value) == str(exc)
+            with pytest.raises(CapacityError):
+                scaled.add(in_quarters(start), in_quarters(start + j.t), j.c)
             continue
         committed = fast.commit(j, start)
         assert committed.points == expected.points
         assert fast.points == slow.points  # the input timeline is unchanged
         fast, slow = committed, expected
+        scaled = scaled.add(in_quarters(start), in_quarters(start + j.t), j.c)
+        assert scaled.points == tuple((in_quarters(time), level) for time, level in fast.points)
+        assert all(type(time) is int for time, _ in scaled.points)
 
 
 @settings(max_examples=200, deadline=None)
