@@ -52,6 +52,7 @@ from .mechanisms import (
     evaluate_arrival,
     price_rule,
     quote_price,
+    run_coin_space,
     run_sequence,
 )
 from .model import (

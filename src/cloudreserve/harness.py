@@ -30,7 +30,7 @@ from .mechanisms import (
     ceil_log2,
     coin_space,
     price_rule,
-    run_sequence,
+    run_coin_space,
 )
 from .model import (
     Instance,
@@ -43,7 +43,7 @@ from .model import (
     to_count,
     to_flag,
 )
-from .oracle import OracleResult, optimal_welfare, subset_feasible
+from .oracle import OracleResult, subset_feasible
 from .timeline import CapacityTimeline
 
 
@@ -121,15 +121,10 @@ def expected_performance(
     config: MechanismConfig, inst: Instance
 ) -> tuple[Fraction, Fraction, int]:
     """(expected welfare, expected revenue, coin tuples) by full enumeration."""
-    space = coin_space(config)
-    total_welfare = Fraction(0)
-    total_revenue = Fraction(0)
-    for coins in space:
-        outcome = run_sequence(config, coins, inst)
-        total_welfare += outcome.welfare
-        total_revenue += outcome.revenue
-    count = len(space)
-    return total_welfare / count, total_revenue / count, count
+    outcomes = run_coin_space(config, inst)
+    welfare = sum((outcome.welfare for outcome in outcomes), Fraction(0))
+    revenue = sum((outcome.revenue for outcome in outcomes), Fraction(0))
+    return welfare / len(outcomes), revenue / len(outcomes), len(outcomes)
 
 
 def exact_expectation(
@@ -140,7 +135,7 @@ def exact_expectation(
     """Exact expected welfare/revenue against the offline optimum."""
     bound = claimed_bound(config, inst)
     expected_welfare, expected_revenue, count = expected_performance(config, inst)
-    opt = optimal_welfare(inst).opt_welfare
+    opt = inst.optimum.opt_welfare
     if opt == 0:
         welfare_ratio = revenue_ratio = Fraction(1)
         satisfied = True
@@ -190,38 +185,29 @@ def band_of(job: Reservation, bounds) -> tuple[int, int]:
 def binary_filter_band_checks(config: MechanismConfig, inst: Instance) -> tuple[BandCheck, ...]:
     """For each coin band (u, v): E_i[welfare | u, v] >= OPT(band jobs) / 42.
 
-    The expectation is over the capacity coin i only, with (u, v) pinned;
-    the optimum is recomputed on the sub-instance of jobs whose density and
+    The expectation is over the capacity coin i only, with (u, v) pinned:
+    the (u, v, i) runs are the binary filter's coin space, read from one fold.
+    The optimum is recomputed on the sub-instance of jobs whose density and
     length fall in that band.
     """
     if config.kind != BINARY_FILTER:
         raise ValueError("band checks apply to the binary-filter mechanism")
-    level_k, level_t = config.levels
+    welfare_sums: dict[tuple[int, int], Fraction] = {}
+    for outcome in run_coin_space(config, inst):
+        band = (outcome.coins.u, outcome.coins.v)
+        welfare_sums[band] = welfare_sums.get(band, Fraction(0)) + outcome.welfare
+    bands = [band_of(job, config.bounds) for job in inst.jobs]
     checks = []
-    for u in range(1, level_k + 1):
-        for v in range(1, level_t + 1):
-            band_jobs = tuple(
-                job for job in inst.jobs if band_of(job, config.bounds) == (u, v)
-            )
-            sub = Instance(capacity=inst.capacity, bounds=inst.bounds, jobs=band_jobs)
-            opt_band = optimal_welfare(sub).opt_welfare
-            welfare_sum = Fraction(0)
-            for i in (0, 1):
-                outcome = run_sequence(config, Coins(i=i, u=u, v=v), inst)
-                welfare_sum += outcome.welfare
-            expected = welfare_sum / 2
-            bound = opt_band / 42
-            checks.append(
-                BandCheck(
-                    u=u,
-                    v=v,
-                    expected_welfare=expected,
-                    opt_band_welfare=opt_band,
-                    bound=bound,
-                    satisfied=expected >= bound,
-                    band_jobs=len(band_jobs),
-                )
-            )
+    for (u, v), welfare_sum in welfare_sums.items():
+        band_jobs = tuple(job for job, band in zip(inst.jobs, bands) if band == (u, v))
+        sub = Instance(capacity=inst.capacity, bounds=inst.bounds, jobs=band_jobs)
+        opt_band = sub.optimum.opt_welfare
+        expected = welfare_sum / 2
+        bound = opt_band / 42
+        checks.append(BandCheck(
+            u=u, v=v, expected_welfare=expected, opt_band_welfare=opt_band,
+            bound=bound, satisfied=expected >= bound, band_jobs=len(band_jobs),
+        ))
     return tuple(checks)
 
 
@@ -269,7 +255,7 @@ def yao_evaluate(family: YaoFamily, family_id: Optional[str] = None) -> YaoRepor
     }
     opt_values = []
     for idx, inst in enumerate(family.instances, 1):
-        opt = optimal_welfare(inst).opt_welfare
+        opt = inst.optimum.opt_welfare
         bundle_value = sum((job.v for job in family.bundles[idx - 1]), Fraction(0))
         if opt != bundle_value:
             raise ValueError(

@@ -4,7 +4,8 @@ Four mechanism kinds share the same arrival loop: quote a take-it-or-leave-it
 price from the reported length and demand (never from the value, window, or
 prior jobs), accept iff the value covers the price and an earliest-fit slot
 exists, and charge the quoted price on acceptance.  Randomness is drawn once
-per run as explicit ``Coins`` so any run can be replayed or enumerated.
+per run as explicit ``Coins`` so any run can be replayed or enumerated, and
+``run_coin_space`` runs every tuple in one fold that shares agreeing prefixes.
 
 Price formulas (rho_min, t_min from the market bounds, C the capacity):
 
@@ -213,14 +214,50 @@ class Outcome:
 
 def run_sequence(config: MechanismConfig, coins: Coins, inst: Instance) -> Outcome:
     """Fold the online mechanism over the instance's arrival order."""
-    timeline = CapacityTimeline.empty(config.capacity)
-    decisions: list[tuple[str, Decision]] = []
-    welfare = Fraction(0)
-    revenue = Fraction(0)
+    return _fold(config, (coins,), inst)[0]
+
+
+def run_coin_space(config: MechanismConfig, inst: Instance) -> tuple[Outcome, ...]:
+    """``run_sequence`` under every tuple of ``coin_space(config)``, in that
+    order, from one fold over the arrivals."""
+    return _fold(config, coin_space(config), inst)
+
+
+def _fold(config: MechanismConfig, space: tuple[Coins, ...], inst: Instance) -> tuple[Outcome, ...]:
+    """One run per coin tuple in ``space``, all folded over the arrivals at once.
+
+    Runs whose decisions have agreed so far share one timeline, so each such
+    group asks earliest-fit once per arrival and commits once.  Each run accepts
+    iff the value covers its own price (ties accept) and the group's slot
+    exists, and is charged that price; a group splits where its runs disagree.
+    """
+    prices = [price_rule(config, coins) for coins in space]
+    decisions: list[list[tuple[str, Decision]]] = [[] for _ in space]
+    welfare = [Fraction(0)] * len(space)
+    revenue = [Fraction(0)] * len(space)
+    groups = [(CapacityTimeline.empty(config.capacity), range(len(space)))]
     for job in inst.jobs:
-        decision, timeline = evaluate_arrival(config, coins, timeline, job)
-        decisions.append((job.id, decision))
-        if decision.accepted:
-            welfare += job.v
-            revenue += decision.price
-    return Outcome(decisions=tuple(decisions), welfare=welfare, revenue=revenue, coins=coins)
+        split = []
+        for timeline, runs in groups:
+            quoted = [(k, prices[k](job.t, job.c)) for k in runs]
+            covered = any(job.v >= price for _, price in quoted)
+            start = timeline.earliest_feasible_start(job) if covered else None
+            accepted, rejected = [], []
+            for k, price in quoted:
+                if start is not None and job.v >= price:
+                    accepted.append(k)
+                    decisions[k].append((job.id, Decision(accepted=True, price=price, start=start)))
+                    welfare[k] += job.v
+                    revenue[k] += price
+                else:
+                    rejected.append(k)
+                    decisions[k].append((job.id, Decision(accepted=False)))
+            if accepted:
+                split.append((timeline.commit(job, start), accepted))
+            if rejected:
+                split.append((timeline, rejected))
+        groups = split
+    return tuple(
+        Outcome(decisions=tuple(decisions[k]), welfare=welfare[k], revenue=revenue[k], coins=coins)
+        for k, coins in enumerate(space)
+    )

@@ -3,7 +3,8 @@
 Every time and money quantity is an exact rational (``fractions.Fraction``),
 never a float: feasibility of hardness instances hinges on values like
 2 - 1/1000, where rounding could flip an accept/reject decision.  All types
-are immutable value objects and safe to share across concurrent runs.
+are immutable value objects and safe to share across concurrent runs; an
+``Instance`` memoises its offline optimum on itself, never by value.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import json
 from dataclasses import MISSING, dataclass, fields, replace
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
@@ -196,6 +197,15 @@ class Instance:
         violations = validate_instance(self)
         if violations:
             raise InvalidInstanceError(violations)
+
+    @cached_property
+    def optimum(self):
+        """``optimal_welfare(self)`` at the default caps, solved on the first
+        read and kept on this object.  A value-equal copy solves again, and an
+        ``OracleCapExceeded`` is raised again on every read."""
+        from .oracle import optimal_welfare  # the oracle imports this module
+
+        return optimal_welfare(self)
 
 
 @dataclass(frozen=True)

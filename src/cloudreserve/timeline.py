@@ -56,10 +56,6 @@ class CapacityTimeline:
             return 0
         return self.points[idx][1]
 
-    def residual_capacity(self, at) -> int:
-        """Free instances on the half-open segment containing ``at``."""
-        return self.capacity - self.usage_at(at)
-
     def max_usage(self, start: Fraction, end: Fraction) -> int:
         """Peak usage over [start, end); 0 for an empty or out-of-profile range."""
         if end <= start:

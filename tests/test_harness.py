@@ -1,6 +1,7 @@
 """Harness tests: expectations, band checks, family evaluation, audits, emission."""
 
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from cloudreserve import (
     BINARY_FILTER,
     BOUNDED_BINARY_FILTER,
     GREEDY,
+    MECHANISM_KINDS,
     RANDOM_PRICING,
     Coins,
     DeviationGrid,
@@ -39,6 +41,7 @@ from cloudreserve.harness import AuditReport, ProfitableDeviation
 import audit_reference
 from conftest import instance, job, make_workload
 from test_mechanisms import misreports, reads_only_length_and_demand
+from test_model import counting_oracle
 
 
 def config_for(inst, kind=RANDOM_PRICING, alpha=None):
@@ -113,6 +116,19 @@ def test_bounded_binary_filter_bound_holds_on_conforming_workloads():
         report = exact_expectation(cfg, inst, f"bbf{seed}")
         assert report.bound_claimed == (1 - alpha) / ((11 - alpha) * 2 * 2)
         assert report.bound_satisfied
+
+
+def test_every_kind_on_one_instance_shares_one_oracle_solve(monkeypatch):
+    calls = counting_oracle(monkeypatch)
+    inst = make_workload(3000, 8, demands=(1, 2))
+    reports = [
+        exact_expectation(config_for(inst, kind=kind, alpha=Fraction(1, 4)), inst)
+        for kind in MECHANISM_KINDS
+    ]
+    assert calls == [inst]
+    assert {report.opt_welfare for report in reports} == {calls[0].optimum.opt_welfare}
+    exact_expectation(config_for(inst), replace(inst))
+    assert len(calls) == 2
 
 
 # --- band checks -------------------------------------------------------------

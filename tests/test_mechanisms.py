@@ -12,16 +12,23 @@ from cloudreserve import (
     GREEDY,
     MECHANISM_KINDS,
     RANDOM_PRICING,
+    BandCheck,
     CapacityTimeline,
     Coins,
+    Instance,
     MarketBounds,
     MechanismConfig,
+    Outcome,
+    band_of,
+    binary_filter_band_checks,
     coin_levels,
     coin_space,
     draw_coins,
     evaluate_arrival,
     gen_theorem3,
+    optimal_welfare,
     quote_price,
+    run_coin_space,
     run_sequence,
 )
 from conftest import instance, job, make_workload
@@ -281,3 +288,129 @@ def test_irrevocability_prefix_replay():
                       t_min=inst.bounds.t_min, t_max=inst.bounds.t_max)
     partial = run_sequence(cfg, Coins(i=1), prefix)
     assert full.decisions[:4] == partial.decisions
+
+
+# --- the coin-space fold against the one-run loop ----------------------------
+
+def reference_run_sequence(config, coins, inst):
+    """``run_sequence`` as one ``evaluate_arrival`` per arrival: the loop the
+    package ran before the coin-space fold, kept verbatim as its reference."""
+    timeline = CapacityTimeline.empty(config.capacity)
+    decisions = []
+    welfare = Fraction(0)
+    revenue = Fraction(0)
+    for job in inst.jobs:
+        decision, timeline = evaluate_arrival(config, coins, timeline, job)
+        decisions.append((job.id, decision))
+        if decision.accepted:
+            welfare += job.v
+            revenue += decision.price
+    return Outcome(decisions=tuple(decisions), welfare=welfare, revenue=revenue, coins=coins)
+
+
+def reference_band_checks(config, inst):
+    """The binary filter's band checks as one pair of runs and one oracle
+    call per band: the loop the harness ran before the coin-space fold, kept
+    verbatim but for calling the reference runs and the oracle directly."""
+    level_k, level_t = config.levels
+    checks = []
+    for u in range(1, level_k + 1):
+        for v in range(1, level_t + 1):
+            band_jobs = tuple(
+                job for job in inst.jobs if band_of(job, config.bounds) == (u, v)
+            )
+            sub = Instance(capacity=inst.capacity, bounds=inst.bounds, jobs=band_jobs)
+            opt_band = optimal_welfare(sub).opt_welfare
+            welfare_sum = Fraction(0)
+            for i in (0, 1):
+                outcome = reference_run_sequence(config, Coins(i=i, u=u, v=v), inst)
+                welfare_sum += outcome.welfare
+            expected = welfare_sum / 2
+            bound = opt_band / 42
+            checks.append(
+                BandCheck(
+                    u=u,
+                    v=v,
+                    expected_welfare=expected,
+                    opt_band_welfare=opt_band,
+                    bound=bound,
+                    satisfied=expected >= bound,
+                    band_jobs=len(band_jobs),
+                )
+            )
+    return tuple(checks)
+
+
+CAPPED_POOLS = ((Fraction(1, 8), 16), (Fraction(1, 4), 8), (Fraction(1, 2), 4), (Fraction(1, 2), 8))
+
+
+def quarters(low, high):
+    """Multiples of 1/4 in [low, high]."""
+    return st.integers(4 * low, 4 * high).map(lambda n: Fraction(n, 4))
+
+
+@st.composite
+def contended_runs(draw, kinds=MECHANISM_KINDS, max_jobs=10):
+    """A mechanism configuration and an instance crowded enough that coin
+    tuples part ways.  Greedy and the bounded filter get ``alpha`` and a
+    capped pool, as their bound claims need; the others may get one too."""
+    kind = draw(st.sampled_from(kinds))
+    alpha, capacity = None, draw(st.sampled_from((2, 4, 8)))
+    if kind in (GREEDY, BOUNDED_BINARY_FILTER) or draw(st.booleans()):
+        alpha, capacity = draw(st.sampled_from(CAPPED_POOLS))
+    demand_cap = int(alpha * capacity) if alpha is not None else capacity
+    k, spread = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    bounds = MarketBounds(rho_min=1, rho_max=k, t_min=1, t_max=spread)
+    jobs = []
+    for idx in range(draw(st.integers(0, max_jobs))):
+        t, c = draw(quarters(1, spread)), draw(st.integers(1, demand_cap))
+        a, slack, density = draw(quarters(0, 6)), draw(quarters(0, 6)), draw(quarters(1, k))
+        jobs.append(job(f"j{idx}", a, a + t + slack, t, c, density * c * t))
+    inst = Instance(capacity=capacity, bounds=bounds, jobs=tuple(jobs))
+    return MechanismConfig(kind=kind, bounds=bounds, capacity=capacity, alpha=alpha), inst
+
+
+@settings(max_examples=200, deadline=None)
+@given(contended_runs())
+def test_coin_space_fold_matches_one_run_per_tuple(case):
+    config, inst = case
+    assert run_coin_space(config, inst) == tuple(
+        reference_run_sequence(config, coins, inst) for coins in coin_space(config)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(contended_runs(), st.data())
+def test_run_sequence_matches_the_evaluate_arrival_loop(case, data):
+    config, inst = case
+    coins = data.draw(st.sampled_from(coin_space(config)))
+    if not config.banded:  # band coins the kind pins may be drawn or not
+        coins = Coins(i=coins.i, u=data.draw(st.none() | st.integers(1, 4)),
+                      v=data.draw(st.none() | st.integers(1, 4)))
+    assert run_sequence(config, coins, inst) == reference_run_sequence(config, coins, inst)
+
+
+@settings(max_examples=60, deadline=None)
+@given(contended_runs(kinds=(BINARY_FILTER,), max_jobs=7))
+def test_band_checks_match_one_pair_of_runs_per_band(case):
+    config, inst = case
+    assert binary_filter_band_checks(config, inst) == reference_band_checks(config, inst)
+
+
+def test_fold_shares_earliest_fit_and_commits_among_agreeing_runs(monkeypatch):
+    """Two runs that agree on every decision ask earliest-fit and commit once
+    per arrival between them; a split doubles only what follows it."""
+    asked, committed = [], []
+    earliest, commit = CapacityTimeline.earliest_feasible_start, CapacityTimeline.commit
+    monkeypatch.setattr(CapacityTimeline, "earliest_feasible_start",
+                        lambda tl, j: asked.append(j.id) or earliest(tl, j))
+    monkeypatch.setattr(CapacityTimeline, "commit",
+                        lambda tl, j, s: committed.append(j.id) or commit(tl, j, s))
+    # demand 8 >= C/2 prices "a", "b" and "d" alike under both coins; "c" costs 8 > 6 at i = 1
+    inst = instance(8, [job("a", 0, 4, 2, 8, 16), job("b", 0, 8, 2, 8, 16),
+                        job("c", 0, 8, 2, 2, 6), job("d", 0, 12, 2, 8, 16)])
+    outcomes = run_coin_space(config(RANDOM_PRICING), inst)
+    assert [[d.start if d.accepted else None for _, d in outcome.decisions] for outcome in outcomes] == [
+        [0, 2, 4, 6], [0, 2, None, 4],
+    ]
+    assert asked == ["a", "b", "c", "d", "d"] and committed == ["a", "b", "c", "d", "d"]

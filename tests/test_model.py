@@ -12,6 +12,7 @@ import validate_reference
 from cloudreserve import (
     InvalidInstanceError,
     MarketBounds,
+    OracleCapExceeded,
     RandomWorkloadSpec,
     Reservation,
     format_rational,
@@ -28,7 +29,7 @@ from cloudreserve import (
     to_rational,
     validate_instance,
 )
-from cloudreserve import model
+from cloudreserve import model, oracle
 from conftest import instance, job
 
 
@@ -311,3 +312,54 @@ def test_each_build_validates_once(monkeypatch):
     calls.clear()
     gen_random(spec)
     assert len(calls) == 1
+
+
+# --- the optimum, memoised per object ----------------------------------------
+
+def counting_oracle(monkeypatch) -> list:
+    """Every instance ``oracle.optimal_welfare`` is called on from here on."""
+    calls = []
+    real = oracle.optimal_welfare
+
+    def counting(inst, **caps):
+        calls.append(inst)
+        return real(inst, **caps)
+
+    monkeypatch.setattr(oracle, "optimal_welfare", counting)
+    return calls
+
+
+def test_optimum_is_solved_once_per_object(monkeypatch):
+    calls = counting_oracle(monkeypatch)
+    inst = instance(8, [job("a", 0, 4, 2, 6, 12), job("b", 0, 4, 2, 6, 12)])
+    assert inst.optimum == oracle.optimal_welfare(inst)
+    assert inst.optimum is inst.optimum
+    assert calls == [inst, inst]  # the read above, and the direct call beside it
+
+
+def test_value_equal_copies_solve_again(monkeypatch):
+    calls = counting_oracle(monkeypatch)
+    inst = instance(8, [job("a", 0, 4, 2, 6, 12), job("b", 1, 5, 2, 3, 6)])
+    copies = [inst, replace(inst), instance_from_dict(instance_to_dict(inst))]
+    assert all(copy == inst for copy in copies)
+    assert [copy.optimum for copy in copies] == [inst.optimum] * 3
+    assert [id(call) for call in calls] == [id(copy) for copy in copies]
+
+
+def test_reading_the_optimum_keeps_equality_hash_and_repr():
+    inst = instance(8, [job("a", 0, 4, 2, 6, 12), job("b", 1, 5, 2, 3, 6)])
+    fresh = replace(inst)
+    before = (hash(inst), repr(inst))
+    assert inst.optimum.opt_welfare == 18
+    assert (hash(inst), repr(inst)) == before == (hash(fresh), repr(fresh))
+    assert inst == fresh and fresh == inst
+    assert "optimum" not in repr(inst)
+
+
+def test_an_optimum_over_the_cap_is_raised_on_every_read(monkeypatch):
+    calls = counting_oracle(monkeypatch)
+    inst = instance(4, [job(f"j{k}", 0, 30, 1, 1, 1) for k in range(13)])
+    for _ in range(2):
+        with pytest.raises(OracleCapExceeded, match="12-job cap"):
+            inst.optimum
+    assert len(calls) == 2

@@ -1,9 +1,11 @@
 """Module-boundary rules checked on the package source."""
 
 import ast
+import importlib
 from pathlib import Path
 
 PACKAGE_DIR = Path(__file__).resolve().parents[1] / "src" / "cloudreserve"
+LAYERS = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
 
 
 def private_imports(path: Path) -> list[str]:
@@ -132,3 +134,31 @@ def test_no_module_reads_private_attributes_of_other_objects():
     assert modules
     violations = [line for path in modules for line in private_attribute_reads(path)]
     assert violations == []
+
+
+def traced_targets() -> tuple:
+    """``bench/layers.py``'s ``TARGETS``, read from its source: importing it
+    would need the bench's own modules on the path."""
+    (value,) = [
+        node.value
+        for node in ast.parse(LAYERS.read_text(), filename=str(LAYERS)).body
+        if isinstance(node, ast.Assign)
+        and [getattr(target, "id", None) for target in node.targets] == ["TARGETS"]
+    ]
+    return ast.literal_eval(value)
+
+
+def test_every_traced_name_resolves():
+    """The bench's span recorder wraps each target by ``vars(owner)[name]``, so
+    a renamed or dropped name would crash every traced run."""
+    targets = traced_targets()
+    assert targets
+    missing = []
+    for span, module_name, path in targets:
+        owner = importlib.import_module(module_name)
+        *owner_path, attr = path.split(".")
+        for part in owner_path:
+            owner = vars(owner).get(part)
+        if owner is None or not callable(vars(owner).get(attr)):
+            missing.append(f"{span}: {module_name}.{path}")
+    assert missing == []

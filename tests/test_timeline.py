@@ -13,13 +13,13 @@ from conftest import job
 
 def test_residual_on_empty_timeline():
     tl = CapacityTimeline.empty(8)
-    assert tl.residual_capacity(5) == 8
+    assert tl.capacity - tl.usage_at(5) == 8
 
 
 def test_residual_after_commit_and_half_open_boundary():
     tl = CapacityTimeline.empty(8).commit(job("a", 0, 5, 5, 3, 5), 0)
-    assert tl.residual_capacity(2) == 5
-    assert tl.residual_capacity(5) == 8  # [0, 5) is half-open
+    assert tl.capacity - tl.usage_at(2) == 5
+    assert tl.capacity - tl.usage_at(5) == 8  # [0, 5) is half-open
 
 
 def test_earliest_start_empty_profile():
