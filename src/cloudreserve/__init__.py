@@ -62,7 +62,6 @@ from .model import (
     MarketBounds,
     Reservation,
     bounds_from_dict,
-    bounds_to_dict,
     format_rational,
     instance_from_dict,
     instance_to_dict,
@@ -74,6 +73,7 @@ from .model import (
     to_count,
     to_rational,
     validate_instance,
+    write_fields,
 )
 from .oracle import (
     OracleCapExceeded,

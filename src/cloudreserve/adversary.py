@@ -22,9 +22,7 @@ from .model import (
     MarketBounds,
     Reservation,
     bounds_from_dict,
-    bounds_to_dict,
     coerce_fields,
-    format_rational,
     json_shape,
     load_instance,
     read_fields,
@@ -34,6 +32,7 @@ from .model import (
     to_count,
     to_flag,
     to_rational,
+    write_fields,
 )
 
 THEOREM3 = "theorem3"
@@ -293,20 +292,6 @@ class RandomWorkloadSpec:
         args = read_fields(RandomWorkloadSpec, data, "workload spec")
         return RandomWorkloadSpec(**dict(args, bounds=bounds_from_dict(args["bounds"])))
 
-    def to_dict(self) -> dict:
-        return {
-            "job_count": self.job_count,
-            "capacity": self.capacity,
-            "bounds": bounds_to_dict(self.bounds),
-            "arrivals": [format_rational(x) for x in self.arrivals],
-            "slacks": [format_rational(x) for x in self.slacks],
-            "lengths": [format_rational(x) for x in self.lengths],
-            "demands": list(self.demands),
-            "densities": [format_rational(x) for x in self.densities],
-            "seed": self.seed,
-            "tighten_bounds": self.tighten_bounds,
-        }
-
 
 def gen_random(spec: RandomWorkloadSpec, seed: Optional[int] = None) -> Instance:
     """Deterministic-in-seed workload; invalid declared bounds raise ``InvalidInstanceError``."""
@@ -348,16 +333,10 @@ def save_family(family: YaoFamily, out_dir: Union[str, Path]) -> Path:
         filenames.append(name)
     manifest = {
         "version": FAMILY_FORMAT_VERSION,
-        "kind": family.kind,
-        "capacity": family.capacity,
+        **write_fields(family),
         "bundles": [[job.id for job in bundle] for bundle in family.bundles],
         "instances": filenames,
     }
-    if family.epsilon is not None:
-        manifest["epsilon"] = format_rational(family.epsilon)
-    if family.n is not None:
-        manifest["n"] = family.n
-        manifest["m"] = family.m
     Path(out, "family.json").write_text(json.dumps(manifest, indent=2) + "\n")
     return out
 

@@ -10,9 +10,11 @@ was found), so the CLI doubles as a scriptable checker.  A failed claim exits
 from __future__ import annotations
 
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import click
+from click.types import FuncParamType
 
 from .adversary import (
     RandomWorkloadSpec,
@@ -24,17 +26,15 @@ from .adversary import (
 )
 from .harness import DeviationGrid, exact_expectation, render, truthfulness_audit, yao_evaluate
 from .mechanisms import MECHANISM_KINDS, MechanismConfig, draw_coins, run_sequence
-from .model import load_instance, parse_rational, read_json, save_instance
+from .model import load_instance, parse_rational, read_json, save_instance, to_count
 from .oracle import OracleCapExceeded, optimal_welfare
 
-
-def _mechanism_config(mechanism: str, inst, alpha: str | None) -> MechanismConfig:
-    return MechanismConfig(
-        kind=mechanism,
-        bounds=inst.bounds,
-        capacity=inst.capacity,
-        alpha=parse_rational(alpha) if alpha else None,
-    )
+# Option types that read a value as the file formats do; a malformed value
+# exits 2 with one ``Error:`` line naming the option.
+RATIONAL = FuncParamType(parse_rational)
+RATIONAL.name = "p/q"
+COUNT = FuncParamType(to_count)
+COUNT.name = "integer"
 
 
 format_option = click.option(
@@ -55,6 +55,7 @@ mechanism_option = click.option(
 
 alpha_option = click.option(
     "--alpha",
+    type=RATIONAL,
     default=None,
     help="Demand cap c/C as a rational p/q (required for greedy and "
     "bounded-binary-filter bound claims).",
@@ -88,20 +89,20 @@ def gen() -> None:
 
 
 @gen.command("theorem3")
-@click.option("--capacity", type=int, required=True, help="Even capacity >= 4.")
-@click.option("--epsilon", required=True, help="Perturbation as a rational p/q in (0, 1/4).")
+@click.option("--capacity", type=COUNT, required=True, help="Even capacity >= 4.")
+@click.option("--epsilon", type=RATIONAL, required=True, help="Perturbation p/q in (0, 1/4).")
 @click.option("--out", type=click.Path(), required=True, help="Output directory.")
-def gen_theorem3_cmd(capacity: int, epsilon: str, out: str) -> None:
+def gen_theorem3_cmd(capacity: int, epsilon: Fraction, out: str) -> None:
     """Six-bundle hardness family for k = T = 2."""
-    family = gen_theorem3(capacity, parse_rational(epsilon))
+    family = gen_theorem3(capacity, epsilon)
     save_family(family, out)
     click.echo(f"wrote {len(family.instances)} instances to {out}")
 
 
 @gen.command("theorem5")
-@click.option("--n", "n", type=int, required=True, help="Length-ladder depth (T = 2^(n-1)).")
-@click.option("--m", "m", type=int, required=True, help="Density-ladder depth (k = 2^m).")
-@click.option("--capacity", type=int, required=True, help="Even capacity >= 4.")
+@click.option("--n", "n", type=COUNT, required=True, help="Length-ladder depth (T = 2^(n-1)).")
+@click.option("--m", "m", type=COUNT, required=True, help="Density-ladder depth (k = 2^m).")
+@click.option("--capacity", type=COUNT, required=True, help="Even capacity >= 4.")
 @click.option("--out", type=click.Path(), required=True, help="Output directory.")
 def gen_theorem5_cmd(n: int, m: int, capacity: int, out: str) -> None:
     """(m + n + 2)-bundle ladder realizing k = 2^m, T = 2^(n-1)."""
@@ -112,7 +113,7 @@ def gen_theorem5_cmd(n: int, m: int, capacity: int, out: str) -> None:
 
 @gen.command("random")
 @click.option("--spec", type=click.Path(exists=True), required=True, help="Workload spec (JSON).")
-@click.option("--seed", type=int, default=None, help="Override the spec's seed.")
+@click.option("--seed", type=COUNT, default=None, help="Override the spec's seed.")
 @click.option("--out", type=click.Path(), required=True, help="Output instance file.")
 def gen_random_cmd(spec: str, seed: int | None, out: str) -> None:
     """Seeded random workload from a spec file."""
@@ -125,13 +126,13 @@ def gen_random_cmd(spec: str, seed: int | None, out: str) -> None:
 @main.command("run")
 @mechanism_option
 @click.option("--instance", type=click.Path(exists=True), required=True)
-@click.option("--seed", type=int, required=True, help="Coin seed (same seed, same coins).")
+@click.option("--seed", type=COUNT, required=True, help="Coin seed (same seed, same coins).")
 @alpha_option
 @format_option
-def run_cmd(mechanism: str, instance: str, seed: int, alpha: str | None, output_format: str) -> None:
+def run_cmd(mechanism: str, instance: str, seed: int, alpha: Fraction | None, output_format: str) -> None:
     """One online run with seeded coins."""
     inst = load_instance(instance)
-    config = _mechanism_config(mechanism, inst, alpha)
+    config = MechanismConfig(mechanism, inst.bounds, inst.capacity, alpha)
     outcome = run_sequence(config, draw_coins(config, seed), inst)
     text = render(outcome, output_format, instance=Path(instance).stem, mechanism=mechanism)
     click.echo(text, nl=False)
@@ -142,10 +143,10 @@ def run_cmd(mechanism: str, instance: str, seed: int, alpha: str | None, output_
 @click.option("--instance", type=click.Path(exists=True), required=True)
 @alpha_option
 @format_option
-def expect_cmd(mechanism: str, instance: str, alpha: str | None, output_format: str) -> None:
+def expect_cmd(mechanism: str, instance: str, alpha: Fraction | None, output_format: str) -> None:
     """Exact expectation over the full coin space, checked against the claimed bound."""
     inst = load_instance(instance)
-    config = _mechanism_config(mechanism, inst, alpha)
+    config = MechanismConfig(mechanism, inst.bounds, inst.capacity, alpha)
     report = exact_expectation(config, inst, instance_id=Path(instance).stem)
     click.echo(render(report, output_format), nl=False)
     sys.exit(0 if report.bound_satisfied else 1)
@@ -173,16 +174,16 @@ def yao_cmd(family: str, output_format: str) -> None:
 @main.command("audit")
 @mechanism_option
 @click.option("--instance", type=click.Path(exists=True), required=True)
-@click.option("--seed", type=int, required=True, help="Coin seed to audit under.")
+@click.option("--seed", type=COUNT, required=True, help="Coin seed to audit under.")
 @click.option("--grid", type=click.Path(exists=True), default=None, help="Deviation grid (JSON).")
 @alpha_option
 @format_option
 def audit_cmd(
-    mechanism: str, instance: str, seed: int, grid: str | None, alpha: str | None, output_format: str
+    mechanism: str, instance: str, seed: int, grid: str | None, alpha: Fraction | None, output_format: str
 ) -> None:
     """Misreport audit: search the deviation grid for a profitable lie."""
     inst = load_instance(instance)
-    config = _mechanism_config(mechanism, inst, alpha)
+    config = MechanismConfig(mechanism, inst.bounds, inst.capacity, alpha)
     coins = draw_coins(config, seed)
     grid_spec = DeviationGrid.from_dict(read_json(grid)) if grid else DeviationGrid()
     report = truthfulness_audit(config, coins, inst, grid_spec, instance_id=Path(instance).stem)

@@ -20,6 +20,7 @@ from typing import Callable, Optional, Sequence, Union
 RationalLike = Union[Fraction, int, str]
 
 INSTANCE_FORMAT_VERSION = 1
+DECIMAL_DIGITS = 15  # significant digits of every decimal rendering
 
 
 class InvalidInstanceError(ValueError):
@@ -43,11 +44,19 @@ def to_rational(value: RationalLike) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 
+def _plain_ascii(text: str, kind: str) -> str:
+    """``text``, unless ``int`` would read more into it than whitespace, a sign
+    and the digits 0-9: it also takes "1_000" and other scripts' digits."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not {kind}: {text!r}")
+    return text
+
+
 def to_count(value: Union[int, str]) -> int:
     """Coerce an int (not a bool) or an integer string such as "8" to an int."""
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise TypeError(f"cannot interpret {value!r} as an integer")
-    return int(value)
+    return int(_plain_ascii(value, "an integer") if isinstance(value, str) else value)
 
 
 def to_flag(value: bool) -> bool:
@@ -86,7 +95,7 @@ def parse_rational(text: str) -> Fraction:
 
     ``int`` strips the whitespace around each part, so one split suffices.
     """
-    num_text, slash, den_text = text.partition("/")
+    num_text, slash, den_text = _plain_ascii(text, "a rational num/den").partition("/")
     if not slash:
         return Fraction(int(num_text))
     num = int(num_text)
@@ -97,16 +106,14 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    """Render a Fraction as "num/den", or "n" when the denominator is 1."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    """Render a Fraction as "num/den", or "n" when the denominator is 1: its own ``str``."""
+    return str(value)
 
 
-def rational_to_decimal(value: Fraction, significant_digits: int = 15) -> str:
-    """Decimal rendering at fixed significance, round-half-even."""
+def rational_to_decimal(value: Fraction) -> str:
+    """Decimal rendering at ``DECIMAL_DIGITS`` significant digits, round-half-even."""
     with localcontext() as ctx:
-        ctx.prec = significant_digits
+        ctx.prec = DECIMAL_DIGITS
         ctx.rounding = ROUND_HALF_EVEN
         quotient = Decimal(value.numerator) / Decimal(value.denominator)
     return str(quotient)
@@ -321,11 +328,24 @@ def read_fields(cls, data, owner: str, version: Optional[int] = None) -> dict:
     return args
 
 
-_BOUNDS_FIELDS = ("rho_min", "rho_max", "t_min", "t_max")
+def write_fields(obj) -> dict:
+    """The JSON object of dataclass ``obj``, the inverse of ``read_fields``: its
+    fields in declaration order, a ``Fraction`` as "num/den", a string, int or
+    bool as itself, a tuple as an array and a nested dataclass as an object.
+    A field at ``None`` is left out, so the reader restores its default."""
+    names, _ = _schema(type(obj))
+    return {name: _json_value(v) for name in names if (v := getattr(obj, name)) is not None}
 
 
-def bounds_to_dict(bounds: MarketBounds) -> dict:
-    return {name: format_rational(getattr(bounds, name)) for name in _BOUNDS_FIELDS}
+def _json_value(value):
+    kind = type(value)
+    if kind is Fraction:
+        return format_rational(value)
+    if kind in _JSON_TYPES:
+        return value
+    if kind is tuple:
+        return [_json_value(item) for item in value]
+    return write_fields(value)
 
 
 def bounds_from_dict(data: dict) -> MarketBounds:
@@ -333,22 +353,7 @@ def bounds_from_dict(data: dict) -> MarketBounds:
 
 
 def instance_to_dict(inst: Instance) -> dict:
-    return {
-        "version": INSTANCE_FORMAT_VERSION,
-        "capacity": inst.capacity,
-        "bounds": bounds_to_dict(inst.bounds),
-        "jobs": [
-            {
-                "id": job.id,
-                "a": format_rational(job.a),
-                "d": format_rational(job.d),
-                "t": format_rational(job.t),
-                "c": job.c,
-                "v": format_rational(job.v),
-            }
-            for job in inst.jobs
-        ],
-    }
+    return {"version": INSTANCE_FORMAT_VERSION, **write_fields(inst)}
 
 
 def instance_from_dict(data: dict) -> Instance:

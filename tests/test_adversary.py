@@ -21,6 +21,7 @@ from cloudreserve import (
     save_family,
     subset_feasible,
     validate_instance,
+    write_fields,
     yao_evaluate,
 )
 
@@ -265,13 +266,13 @@ def test_spec_rejects_inconsistent_choices():
 
 def test_spec_dict_round_trip():
     spec = spec_for(seed=5)
-    assert RandomWorkloadSpec.from_dict(spec.to_dict()) == spec
+    assert RandomWorkloadSpec.from_dict(write_fields(spec)) == spec
 
 
 @pytest.mark.parametrize("field", ["arrivals", "slacks", "lengths", "demands", "densities"])
 def test_spec_choice_sets_must_be_lists(field):
     # a string is a sequence of characters: "17" must not become the choices 1 and 7
-    data = spec_for().to_dict()
+    data = write_fields(spec_for())
     data[field] = "12"
     with pytest.raises(ValueError, match=f"workload spec: field '{field}'"):
         RandomWorkloadSpec.from_dict(data)

@@ -160,6 +160,7 @@ INVALID_EDITS = {
     "length-exceeds-window": (lambda data: data["jobs"][0].update(d="1"), "length exceeds window"),
     "duplicate-id": (lambda data: data["jobs"].append(dict(data["jobs"][0])), "job x: duplicate id"),
     "zero-length": (lambda data: data["jobs"][0].update(t="0"), "job x: length must be positive"),
+    "arabic-indic-value": (lambda data: data["jobs"][0].update(v="\u0666"), "job x: field 'v'"),
 }
 
 
@@ -233,6 +234,35 @@ def test_gen_random_zero_rho_min_exits_2(tmp_path):
     }))
     result = invoke("gen", "random", "--spec", str(spec), "--out", str(tmp_path / "i.json"))
     assert_input_error(result, "bounds: rho_min and t_min must be positive")
+
+
+# Malformed option values: an empty alpha is not "no alpha", and "1_0" is not ten.
+MALFORMED_OPTIONS = {
+    "empty-alpha": (["expect", "--mechanism", "random-pricing", "--alpha", ""], "'--alpha'"),
+    "underscore-alpha": (
+        ["run", "--mechanism", "greedy", "--seed", "0", "--alpha", "1_0/20"], "'--alpha'"
+    ),
+    "underscore-seed": (["audit", "--mechanism", "binary-filter", "--seed", "1_0"], "'--seed'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_OPTIONS))
+def test_malformed_instance_command_option_exits_2(tmp_path, case):
+    args, option = MALFORMED_OPTIONS[case]
+    result = invoke(*args, "--instance", str(write_instance(tmp_path)))
+    assert_input_error(result, f"Invalid value for {option}")
+
+
+@pytest.mark.parametrize("args, option", [
+    (["theorem3", "--capacity", "8", "--epsilon", "1_0/100"], "'--epsilon'"),
+    (["theorem3", "--capacity", "1_6", "--epsilon", "1/10"], "'--capacity'"),
+    (["theorem5", "--n", "\u0662", "--m", "1", "--capacity", "8"], "'--n'"),
+])
+def test_malformed_gen_option_exits_2(tmp_path, args, option):
+    out = tmp_path / "fam"
+    result = invoke("gen", *args, "--out", str(out))
+    assert_input_error(result, f"Invalid value for {option}")
+    assert not out.exists()
 
 
 def edit_family_files(fam, names, edit):

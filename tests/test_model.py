@@ -59,7 +59,7 @@ def test_to_rational_rejects_floats_and_bools():
 
 
 def test_to_count_accepts_only_ints_and_integer_strings():
-    assert to_count(3) == 3 and to_count("8") == 8
+    assert to_count(3) == 3 and to_count("8") == 8 and to_count(" -3\n") == -3
     for bad in (True, 2.7, None, Fraction(2)):
         with pytest.raises(TypeError):
             to_count(bad)
@@ -276,6 +276,8 @@ PARSE_TABLE = {
     "3 / 4": Fraction(3, 4),
     "/4": ValueError,
     "3/": ValueError,
+    " +5 /\t+2 ": Fraction(5, 2),
+    "-0012": Fraction(-12),
 }
 
 
@@ -287,6 +289,46 @@ def test_parse_rational_accepts_and_rejects(text):
             parse_rational(text)
     else:
         assert parse_rational(text) == expected and type(parse_rational(text)) is Fraction
+
+
+# --- an integer is ASCII digits after an optional sign --------------------------
+
+# Spellings that ``int`` takes and no file may use: digit-group underscores,
+# digits of other scripts (Arabic-Indic six, full-width twelve) and non-ASCII
+# whitespace (a no-break space).
+PYTHON_ONLY_SPELLINGS = ["1_000", "1_6", "\u0666", "\uff11\uff12", "1/1_0", "+\u0666/2", "7\u00a0"]
+
+
+@pytest.mark.parametrize("text", PYTHON_ONLY_SPELLINGS, ids=ascii)
+def test_python_only_integer_spellings_are_rejected(text):
+    with pytest.raises(ValueError, match="not a rational"):
+        parse_rational(text)
+    with pytest.raises(ValueError, match="not an integer"):
+        to_count(text)
+
+
+# (where, field, a Python-only spelling, the same value in ASCII digits, the error)
+FILE_SPELLINGS = {
+    "capacity": (None, "capacity", "1_6", "16", "instance: field 'capacity'"),
+    "job-value": ("jobs", "v", "\u0666", "6", "job x: field 'v'"),
+    "job-deadline": ("jobs", "d", "1_000", "1000", "job x: field 'd'"),
+    "bounds": ("bounds", "rho_max", "\uff12", "2", "bounds: field 'rho_max'"),
+}
+
+
+def edited_instance_dict(where, field, text) -> dict:
+    data = instance_to_dict(instance(8, [job("x", 0, 10, 2, 3, 6)]))
+    target = {None: data, "jobs": data["jobs"][0], "bounds": data["bounds"]}[where]
+    target[field] = text
+    return data
+
+
+@pytest.mark.parametrize("case", sorted(FILE_SPELLINGS))
+def test_python_only_spelling_in_a_file_names_the_field(case):
+    where, field, python_only, ascii_digits, message = FILE_SPELLINGS[case]
+    with pytest.raises(ValueError, match=message):
+        instance_from_dict(edited_instance_dict(where, field, python_only))
+    instance_from_dict(edited_instance_dict(where, field, ascii_digits))
 
 
 # --- one validation per build --------------------------------------------------

@@ -88,6 +88,30 @@ def test_cli_prints_records_and_builds_none():
     assert cli_serialisation(PACKAGE_DIR / "cli.py") == []
 
 
+def rational_writer_imports(path: Path) -> list[str]:
+    """Imports of ``format_rational``, the "num/den" writer."""
+    return [
+        f"{path.name}:{node.lineno}: import format_rational"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ImportFrom)
+        and any(alias.name == "format_rational" for alias in node.names)
+    ]
+
+
+def test_only_model_and_harness_write_rationals():
+    """One writer per format: ``model.write_fields`` writes every file object
+    and ``harness.record`` every report record, so no other module renders a
+    rational or lists a file object's fields by hand; ``__init__`` only
+    re-exports it."""
+    modules = sorted(
+        path for path in PACKAGE_DIR.glob("*.py")
+        if path.name not in ("model.py", "harness.py", "__init__.py")
+    )
+    assert modules
+    violations = [line for path in modules for line in rational_writer_imports(path)]
+    assert violations == []
+
+
 def key_error_handlers(path: Path) -> list[str]:
     """``except KeyError`` handlers, bare or in a tuple: a missing key is the
     reader's fault to name, and any other ``KeyError`` is a bug to show."""
