@@ -61,13 +61,13 @@ from .model import (
     InvalidInstanceError,
     MarketBounds,
     Reservation,
-    bounds_from_dict,
     format_rational,
     instance_from_dict,
     instance_to_dict,
     load_instance,
     parse_rational,
     rational_to_decimal,
+    read_object,
     realized_bounds,
     save_instance,
     to_count,

@@ -15,13 +15,12 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .model import (
     Instance,
     MarketBounds,
     Reservation,
-    bounds_from_dict,
     coerce_fields,
     json_shape,
     load_instance,
@@ -29,8 +28,6 @@ from .model import (
     read_json,
     realized_bounds,
     save_instance,
-    to_count,
-    to_flag,
     to_rational,
     write_fields,
 )
@@ -55,9 +52,7 @@ class YaoFamily:
     m: Optional[int] = None
 
     def __post_init__(self) -> None:
-        optional = {"epsilon": to_rational, "n": to_count, "m": to_count}
-        optional = {name: c for name, c in optional.items() if getattr(self, name) is not None}
-        coerce_fields(self, "family", capacity=to_count, **optional)
+        coerce_fields(self, "family")
         if self.kind not in (THEOREM3, THEOREM5):
             raise ValueError(f"family: unknown kind {self.kind!r}")
         if self.kind == THEOREM5 and (self.n is None or self.m is None):
@@ -228,18 +223,6 @@ def limit_value_coefs(family: YaoFamily) -> dict[str, Fraction]:
 # Seeded random workloads.
 
 
-def _choice_set(convert: Callable) -> Callable:
-    """Converter of a list or tuple of choices, each through ``convert``.  A
-    string is a sequence too, and "17" would otherwise be the choices 1 and 7."""
-
-    def coerce(values) -> tuple:
-        if not isinstance(values, (list, tuple)):
-            raise TypeError(f"expected a list of choices, got {values!r}")
-        return tuple(convert(x) for x in values)
-
-    return coerce
-
-
 @dataclass(frozen=True)
 class RandomWorkloadSpec:
     """Uniform draws over finite rational choice sets, one set per field.
@@ -260,13 +243,7 @@ class RandomWorkloadSpec:
     tighten_bounds: bool = False  # re-declare bounds as the realized envelope
 
     def __post_init__(self) -> None:
-        rationals = _choice_set(to_rational)
-        coerce_fields(
-            self, "workload spec",
-            job_count=to_count, capacity=to_count, arrivals=rationals, slacks=rationals,
-            lengths=rationals, demands=_choice_set(to_count), densities=rationals,
-            seed=to_count, tighten_bounds=to_flag,
-        )
+        coerce_fields(self, "workload spec")
         self._check()
 
     def _check(self) -> None:
@@ -286,11 +263,6 @@ class RandomWorkloadSpec:
             raise ValueError("density choices fall outside the market bounds")
         if any(not (1 <= c <= self.capacity) for c in self.demands):
             raise ValueError("demand choices fall outside [1, capacity]")
-
-    @staticmethod
-    def from_dict(data: dict) -> "RandomWorkloadSpec":
-        args = read_fields(RandomWorkloadSpec, data, "workload spec")
-        return RandomWorkloadSpec(**dict(args, bounds=bounds_from_dict(args["bounds"])))
 
 
 def gen_random(spec: RandomWorkloadSpec, seed: Optional[int] = None) -> Instance:

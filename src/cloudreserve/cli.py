@@ -26,7 +26,7 @@ from .adversary import (
 )
 from .harness import DeviationGrid, exact_expectation, render, truthfulness_audit, yao_evaluate
 from .mechanisms import MECHANISM_KINDS, MechanismConfig, draw_coins, run_sequence
-from .model import load_instance, parse_rational, read_json, save_instance, to_count
+from .model import load_instance, parse_rational, read_json, read_object, save_instance, to_count
 from .oracle import OracleCapExceeded, optimal_welfare
 
 # Option types that read a value as the file formats do; a malformed value
@@ -117,7 +117,7 @@ def gen_theorem5_cmd(n: int, m: int, capacity: int, out: str) -> None:
 @click.option("--out", type=click.Path(), required=True, help="Output instance file.")
 def gen_random_cmd(spec: str, seed: int | None, out: str) -> None:
     """Seeded random workload from a spec file."""
-    workload = RandomWorkloadSpec.from_dict(read_json(spec))
+    workload = read_object(RandomWorkloadSpec, read_json(spec), "workload spec")
     inst = gen_random(workload, seed=seed)
     save_instance(inst, out)
     click.echo(f"wrote {len(inst.jobs)} jobs to {out}")
@@ -185,7 +185,7 @@ def audit_cmd(
     inst = load_instance(instance)
     config = MechanismConfig(mechanism, inst.bounds, inst.capacity, alpha)
     coins = draw_coins(config, seed)
-    grid_spec = DeviationGrid.from_dict(read_json(grid)) if grid else DeviationGrid()
+    grid_spec = read_object(DeviationGrid, read_json(grid), "deviation grid") if grid else DeviationGrid()
     report = truthfulness_audit(config, coins, inst, grid_spec, instance_id=Path(instance).stem)
     click.echo(render(report, output_format), nl=False)
     sys.exit(0 if not report.profitable_deviations else 1)

@@ -38,10 +38,7 @@ from .model import (
     coerce_fields,
     format_rational,
     rational_to_decimal,
-    read_fields,
     realized_bounds,
-    to_count,
-    to_flag,
 )
 from .oracle import OracleResult, subset_feasible
 from .timeline import CapacityTimeline
@@ -345,13 +342,9 @@ class DeviationGrid:
     include_corners: bool = False
 
     def __post_init__(self) -> None:
-        coerce_fields(self, "grid", points_per_dim=to_count, include_corners=to_flag)
+        coerce_fields(self, "grid")
         if self.points_per_dim < 2:
             raise ValueError("points_per_dim must be >= 2")
-
-    @staticmethod
-    def from_dict(data: dict) -> "DeviationGrid":
-        return DeviationGrid(**read_fields(DeviationGrid, data, "deviation grid"))
 
 
 @dataclass(frozen=True)
@@ -680,12 +673,9 @@ def render(report, output_format: str, **front) -> str:
     return _csv_text(*_table(report))
 
 
-def emit_results(
-    reports: Iterable,
-    out_dir: Union[str, Path],
-    basename: str = "results",
-) -> tuple[Path, Path]:
-    """Write a CSV table and a JSON summary; byte-for-byte deterministic.
+def emit_results(reports: Iterable, out_dir: Union[str, Path]) -> tuple[Path, Path]:
+    """Write ``results.csv`` and the JSON summary ``results.json``; byte-for-byte
+    deterministic.
 
     Rationals appear both as "num/den" and as 15-significant-digit decimals.
     The summary carries worst-case (minimum) ratios, matching the worst-case
@@ -694,7 +684,7 @@ def emit_results(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = [row for report in reports for row in result_rows(report)]
-    csv_path = out / f"{basename}.csv"
+    csv_path = out / "results.csv"
     csv_path.write_text(_csv_text(CSV_COLUMNS, [row.values() for row in rows]), newline="")
     welfare_ratios = [Fraction(row["welfare_ratio"]) for row in rows if row["welfare_ratio"]]
     revenue_ratios = [Fraction(row["revenue_ratio"]) for row in rows if row["revenue_ratio"]]
@@ -706,6 +696,6 @@ def emit_results(
         "worst_revenue_ratio": format_rational(min(revenue_ratios)) if revenue_ratios else None,
         "rows": rows,
     }
-    summary_path = out / f"{basename}.json"
+    summary_path = out / "results.json"
     summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return csv_path, summary_path

@@ -35,7 +35,7 @@ from .model import (
     Instance,
     MarketBounds,
     Reservation,
-    to_rational,
+    coerce_fields,
 )
 from .timeline import CapacityTimeline
 
@@ -75,6 +75,7 @@ class MechanismConfig:
     levels: tuple[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        coerce_fields(self, "mechanism config")
         if self.kind not in MECHANISM_KINDS:
             raise ValueError(f"unknown mechanism kind {self.kind!r}")
         if self.capacity < 1:
@@ -87,11 +88,8 @@ class MechanismConfig:
             raise ValueError("bounds: rho_max must be at least rho_min")
         if bounds.t_max < bounds.t_min:
             raise ValueError("bounds: t_max must be at least t_min")
-        if self.alpha is not None:
-            alpha = to_rational(self.alpha)
-            object.__setattr__(self, "alpha", alpha)
-            if not (0 < alpha <= Fraction(1, 2)):
-                raise ValueError("alpha must lie in (0, 1/2]")
+        if self.alpha is not None and not (0 < self.alpha <= Fraction(1, 2)):
+            raise ValueError("alpha must lie in (0, 1/2]")
         object.__setattr__(self, "levels", coin_levels(self.bounds) if self.banded else (1, 1))
 
     @property
@@ -107,7 +105,6 @@ class MechanismConfig:
 
 def ceil_log2(q: Fraction) -> int:
     """Smallest integer e >= 0 with 2^e >= q, computed exactly."""
-    q = to_rational(q)
     exponent = 0
     power = Fraction(1)
     while power < q:
@@ -153,10 +150,11 @@ def price_rule(config: MechanismConfig, coins: Coins) -> Callable[[Fraction, int
 
     Pins the coins the kind does not draw, checks the rest once against the
     coin space [1, L_k] x [1, L_T], and folds the binary-filter formula's
-    constants (a coin at 1 costs no Fraction product: ``quote_price`` binds a
-    rule per call).  On every report ``validate_instance`` admits (t >= t_min,
-    c >= 1) this is the kind's own row of the module's table; outside them the
-    pinned factors still floor the length at t_min and the demand at 1.
+    constants once per rule: each run and each audit binds its rules once, and
+    only ``quote_price`` binds one per call.  On every report
+    ``validate_instance`` admits (t >= t_min, c >= 1) this is the kind's own
+    row of the module's table; outside them the pinned factors still floor the
+    length at t_min and the demand at 1.
     """
     u, v = (coins.u, coins.v) if config.banded else (1, 1)
     if u is None or v is None:
@@ -166,8 +164,8 @@ def price_rule(config: MechanismConfig, coins: Coins) -> Callable[[Fraction, int
         raise ValueError(f"coins u={u}, v={v} outside [1, {level_k}] x [1, {level_t}]")
     bounds = config.bounds
     threshold = Fraction(config.capacity, 2) if config.capacity_coin and coins.i == 1 else 1
-    rate = bounds.rho_min * 2 ** (u - 1) if u > 1 else bounds.rho_min
-    length_floor = bounds.t_min * 2 ** (v - 1) if v > 1 else bounds.t_min
+    rate = bounds.rho_min * 2 ** (u - 1)
+    length_floor = bounds.t_min * 2 ** (v - 1)
 
     def price(t: Fraction, c: int) -> Fraction:
         return rate * max(threshold, c) * max(length_floor, t)

@@ -10,12 +10,14 @@ are immutable value objects and safe to share across concurrent runs; an
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
+from operator import is_
 from pathlib import Path
-from typing import Callable, Optional, Sequence, Union
+from types import UnionType
+from typing import Callable, Optional, Sequence, Union, get_args, get_origin, get_type_hints
 
 RationalLike = Union[Fraction, int, str]
 
@@ -59,17 +61,64 @@ def to_count(value: Union[int, str]) -> int:
     return int(_plain_ascii(value, "an integer") if isinstance(value, str) else value)
 
 
-def to_flag(value: bool) -> bool:
-    """Accept only a real boolean: the string "false" is not false."""
-    if not isinstance(value, bool):
-        raise TypeError(f"expected true or false, got {value!r}")
+def _array(item: Callable, values) -> tuple:
+    """A list or tuple, item by item through ``item``: a string is a sequence
+    too, and "17" would otherwise be the items 1 and 7.  A tuple whose items
+    all convert to themselves is kept, as ``tuple()`` keeps it."""
+    if not isinstance(values, (list, tuple)):
+        raise TypeError(f"expected a list, got {values!r}")
+    items = tuple(map(item, values))
+    return values if type(values) is tuple and all(map(is_, items, values)) else items
+
+
+def _taken_as_is(cls, value):
+    """``value`` if it is a ``cls``: a flag only if it is true or false (the
+    string "false" is not false), a nested file object only as its class built it."""
+    if not isinstance(value, cls):
+        raise TypeError(f"expected a {cls.__name__}, got {value!r}")
     return value
 
 
-def coerce_fields(obj, owner: str, **converters: Callable) -> None:
-    """Coerce the named fields of a frozen dataclass in place; a value a
-    converter rejects becomes a ValueError naming the owner and the field."""
-    for name, convert in converters.items():
+_SCALARS = {Fraction: to_rational, int: to_count, str: None}
+
+
+def _converter(hint) -> Optional[Callable]:
+    """The converter of a field declared ``hint``, None for a str; a type with
+    no rule is a TypeError, so no field can skip conversion in silence."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin in (Union, UnionType) and args[1:] == (type(None),) and (item := _converter(args[0])):
+        return lambda value: value if value is None else item(value)
+    if origin is tuple and args[1:] == (Ellipsis,) and (item := _converter(args[0])):
+        return partial(_array, item)
+    if hint in _SCALARS:
+        return _SCALARS[hint]
+    if hint is bool or is_dataclass(hint):
+        return partial(_taken_as_is, hint)
+    raise TypeError(f"no conversion rule for a field of type {hint!r}")
+
+
+@cache
+def _schema(cls) -> tuple:
+    """A dataclass's constructor fields, read once from their declared types:
+    each name's type, in order; the defaults; each (name, converter); the str
+    fields; and each nested file object as (name, class, array or not)."""
+    types = get_type_hints(cls)
+    hints = {f.name: types[f.name] for f in fields(cls) if f.init}
+    items = {name: get_args(h)[0] if get_origin(h) is tuple else h for name, h in hints.items()}
+    return (
+        hints,
+        {f.name: f.default for f in fields(cls) if f.init and f.default is not MISSING},
+        tuple((name, convert) for name, h in hints.items() if (convert := _converter(h))),
+        tuple(name for name, h in hints.items() if h is str),
+        tuple((name, i, i is not hints[name]) for name, i in items.items() if is_dataclass(i)),
+    )
+
+
+def coerce_fields(obj, owner: str) -> None:
+    """Convert each field of a frozen dataclass in place by its declared type;
+    a value the converter rejects becomes a ValueError naming the owner and
+    the field."""
+    for name, convert in _schema(type(obj))[2]:  # each field's (name, converter)
         try:
             object.__setattr__(obj, name, convert(getattr(obj, name)))
         except (TypeError, ValueError) as exc:
@@ -140,10 +189,7 @@ class Reservation:
             and type(self.t) is Fraction and type(self.v) is Fraction
         ):
             return  # already canonical: coercion would return the same objects
-        coerce_fields(
-            self, f"job {self.id}",
-            a=to_rational, d=to_rational, t=to_rational, c=to_count, v=to_rational,
-        )
+        coerce_fields(self, f"job {self.id}")
 
     @property
     def density(self) -> Fraction:
@@ -155,7 +201,9 @@ class Reservation:
         return self.d - self.a - self.t
 
     def report(self, **changes) -> "Reservation":
-        """A copy with some fields re-reported (used by the misreport audit)."""
+        """A copy with some fields re-reported.  No package code calls it; it
+        stays because ``bench/layers.py`` traces it by name and the reference
+        audit in ``tests/audit_reference.py`` copies each misreport with it."""
         return replace(self, **changes)
 
 
@@ -169,10 +217,7 @@ class MarketBounds:
     t_max: Fraction
 
     def __post_init__(self) -> None:
-        coerce_fields(
-            self, "bounds",
-            rho_min=to_rational, rho_max=to_rational, t_min=to_rational, t_max=to_rational,
-        )
+        coerce_fields(self, "bounds")
 
     @property
     def k(self) -> Fraction:
@@ -200,7 +245,7 @@ class Instance:
     jobs: tuple[Reservation, ...]
 
     def __post_init__(self) -> None:
-        coerce_fields(self, "instance", capacity=to_count, jobs=tuple)
+        coerce_fields(self, "instance")
         violations = validate_instance(self)
         if violations:
             raise InvalidInstanceError(violations)
@@ -299,32 +344,24 @@ def realized_bounds(inst: Instance) -> Optional[MarketBounds]:
 # Instance file format (versioned JSON; rationals as "num/den" strings).
 
 
-@cache
-def _schema(cls) -> tuple[tuple[str, ...], dict]:
-    """A dataclass's field names, and the defaults of the fields that have one."""
-    return (
-        tuple(f.name for f in fields(cls)),
-        {f.name: f.default for f in fields(cls) if f.default is not MISSING},
-    )
-
-
 def read_fields(cls, data, owner: str, version: Optional[int] = None) -> dict:
     """The constructor arguments of dataclass ``cls`` read from the JSON object
     ``data``, with the field names and defaults of ``cls`` itself.  A missing
     field or an unknown key is a ValueError naming ``owner`` and the key; a
     format with a ``version`` allows that one key besides, at that value only."""
-    names, defaults = _schema(cls)
+    names, defaults, _, _, _ = _schema(cls)
     args = {**defaults, **json_shape(data, dict, owner)}
     if version is not None:
         found = args.pop("version", None)
         if type(found) is not int or found != version:
             raise ValueError(f"unsupported {owner} format version: {found!r}")
-    for key in args:
-        if key not in names:
-            raise ValueError(f"{owner}: unknown field {key!r}")
-    for name in names:
-        if name not in args:
-            raise ValueError(f"{owner}: missing field {name!r}")
+    if args.keys() != names.keys():  # name the first unknown, else the first missing key
+        for key in args:
+            if key not in names:
+                raise ValueError(f"{owner}: unknown field {key!r}")
+        for name in names:
+            if name not in args:
+                raise ValueError(f"{owner}: missing field {name!r}")
     return args
 
 
@@ -333,7 +370,7 @@ def write_fields(obj) -> dict:
     fields in declaration order, a ``Fraction`` as "num/den", a string, int or
     bool as itself, a tuple as an array and a nested dataclass as an object.
     A field at ``None`` is left out, so the reader restores its default."""
-    names, _ = _schema(type(obj))
+    names, _, _, _, _ = _schema(type(obj))
     return {name: _json_value(v) for name in names if (v := getattr(obj, name)) is not None}
 
 
@@ -348,8 +385,21 @@ def _json_value(value):
     return write_fields(value)
 
 
-def bounds_from_dict(data: dict) -> MarketBounds:
-    return MarketBounds(**read_fields(MarketBounds, data, "bounds"))
+def read_object(cls, data, owner: str, version: Optional[int] = None):
+    """Dataclass ``cls`` read by ``read_fields``, its str fields shape-checked
+    and each nested file object read the same way, owned by its field's name
+    or, in an array, by "owner: name[i]"; the constructor converts the rest."""
+    _, _, _, strings, nested = _schema(cls)
+    args = read_fields(cls, data, owner, version)
+    for name in strings:
+        json_shape(args[name], str, f"{owner}: field {name!r}")
+    for name, kind, many in nested:
+        if many:
+            items = enumerate(json_shape(args[name], list, f"{owner}: field {name!r}"))
+            args[name] = tuple(read_object(kind, v, f"{owner}: {name}[{i}]") for i, v in items)
+        else:
+            args[name] = read_object(kind, args[name], name)
+    return cls(**args)
 
 
 def instance_to_dict(inst: Instance) -> dict:
@@ -357,18 +407,7 @@ def instance_to_dict(inst: Instance) -> dict:
 
 
 def instance_from_dict(data: dict) -> Instance:
-    args = read_fields(Instance, data, "instance", INSTANCE_FORMAT_VERSION)
-    bounds = bounds_from_dict(args["bounds"])
-    jobs = []
-    for index, job in enumerate(json_shape(args["jobs"], list, "instance: field 'jobs'")):
-        # Construct first: the reader runs only to name the key a failed call missed.
-        try:
-            jobs.append(Reservation(**job))
-        except TypeError:
-            read_fields(Reservation, job, f"instance: jobs[{index}]")
-            raise
-        json_shape(jobs[-1].id, str, f"instance: jobs[{index}]: field 'id'")
-    return Instance(capacity=args["capacity"], bounds=bounds, jobs=tuple(jobs))
+    return read_object(Instance, data, "instance", INSTANCE_FORMAT_VERSION)
 
 
 def save_instance(inst: Instance, path: Union[str, Path]) -> None:

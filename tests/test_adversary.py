@@ -17,6 +17,7 @@ from cloudreserve import (
     limit_value_coefs,
     load_family,
     optimal_welfare,
+    read_object,
     realized_bounds,
     save_family,
     subset_feasible,
@@ -264,9 +265,16 @@ def test_spec_rejects_inconsistent_choices():
         )
 
 
+def test_family_with_list_bundles_is_hashable():
+    family = gen_theorem3(8, Fraction(1, 10))
+    listed = replace(family, bundles=[list(bundle) for bundle in family.bundles])
+    assert type(listed.bundles) is tuple and all(type(b) is tuple for b in listed.bundles)
+    assert listed == family and hash(listed) == hash(family)
+
+
 def test_spec_dict_round_trip():
     spec = spec_for(seed=5)
-    assert RandomWorkloadSpec.from_dict(write_fields(spec)) == spec
+    assert read_object(RandomWorkloadSpec, write_fields(spec), "workload spec") == spec
 
 
 @pytest.mark.parametrize("field", ["arrivals", "slacks", "lengths", "demands", "densities"])
@@ -275,7 +283,7 @@ def test_spec_choice_sets_must_be_lists(field):
     data = write_fields(spec_for())
     data[field] = "12"
     with pytest.raises(ValueError, match=f"workload spec: field '{field}'"):
-        RandomWorkloadSpec.from_dict(data)
+        read_object(RandomWorkloadSpec, data, "workload spec")
     with pytest.raises(ValueError, match=f"workload spec: field '{field}'"):
         replace(spec_for(), **{field: "12"})
     assert len(getattr(replace(spec_for(), **{field: ["1", "2"]}), field)) == 2

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import codec_reference
 from cloudreserve import (
+    DeviationGrid,
     Instance,
     MarketBounds,
     RandomWorkloadSpec,
@@ -21,6 +22,7 @@ from cloudreserve import (
     instance_from_dict,
     instance_to_dict,
     load_family,
+    read_object,
     save_family,
     write_fields,
 )
@@ -103,7 +105,18 @@ def test_spec_writer_matches_reference(spec):
     reference = codec_reference.spec_to_dict(spec)
     assert written == reference
     assert encoded(written) == encoded(reference)
-    assert RandomWorkloadSpec.from_dict(json.loads(encoded(written))) == spec
+    assert read_object(RandomWorkloadSpec, json.loads(encoded(written)), "workload spec") == spec
+
+
+grids = st.builds(DeviationGrid, st.integers(2, 50), st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(instances(), specs(), grids))
+def test_every_file_object_reads_back_what_it_writes(obj):
+    """``read_object`` is ``write_fields``'s inverse for every file object
+    that has no references in it, through the JSON text a file holds."""
+    assert read_object(type(obj), json.loads(encoded(write_fields(obj))), "object") == obj
 
 
 families = st.one_of(

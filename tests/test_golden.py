@@ -84,7 +84,7 @@ def produce(workdir: Path) -> dict[str, bytes]:
             exit_codes[f"{case}.{fmt}"] = result.exit_code
     outputs["exit_codes.json"] = (json.dumps(exit_codes, indent=2) + "\n").encode()
     for name, report in emitted_reports().items():
-        csv_path, json_path = emit_results([report], workdir / "emit", name)
+        csv_path, json_path = emit_results([report], workdir / "emit" / name)
         outputs[f"emit/{name}.csv"] = csv_path.read_bytes()
         outputs[f"emit/{name}.json"] = json_path.read_bytes()
     return outputs

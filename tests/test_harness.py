@@ -30,6 +30,7 @@ from cloudreserve import (
     gen_theorem5,
     price_rule,
     quote_price,
+    read_object,
     record,
     render,
     result_rows,
@@ -232,8 +233,10 @@ def test_grid_corners_extend_the_sweeps():
 
 
 def test_grid_file_defaults_are_the_dataclass_defaults():
-    assert DeviationGrid.from_dict({}) == DeviationGrid()
-    assert DeviationGrid.from_dict({"include_corners": True}) == DeviationGrid(include_corners=True)
+    assert read_object(DeviationGrid, {}, "deviation grid") == DeviationGrid()
+    assert read_object(DeviationGrid, {"include_corners": True}, "deviation grid") == DeviationGrid(
+        include_corners=True
+    )
 
 
 def test_longer_report_costs_greedy_utility():
@@ -321,7 +324,7 @@ def test_audit_all_coins_shapes():
 # --- emission ------------------------------------------------------------------
 
 def test_emit_header_only_for_empty_reports(tmp_path):
-    csv_path, summary_path = emit_results([], tmp_path, "empty")
+    csv_path, summary_path = emit_results([], tmp_path)
     lines = csv_path.read_text().splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("instance,mechanism,coins,welfare,revenue,opt,")
@@ -331,8 +334,8 @@ def test_emit_header_only_for_empty_reports(tmp_path):
 def test_emit_deterministic_bytes(tmp_path):
     inst = make_workload(2, 8)
     report = exact_expectation(config_for(inst), inst, "det")
-    csv_path, summary_path = emit_results([report], tmp_path / "a", "r")
-    csv_again, summary_again = emit_results([report], tmp_path / "b", "r")
+    csv_path, summary_path = emit_results([report], tmp_path / "a")
+    csv_again, summary_again = emit_results([report], tmp_path / "b")
     assert csv_path.read_bytes() == csv_again.read_bytes()
     assert summary_path.read_bytes() == summary_again.read_bytes()
     body = csv_path.read_text().splitlines()
@@ -343,7 +346,7 @@ def test_emit_deterministic_bytes(tmp_path):
 def test_emit_rationals_in_both_forms(tmp_path):
     inst = instance(8, [job("x", 0, 10, 2, 3, 6)])
     report = exact_expectation(config_for(inst), inst, "forms")
-    csv_path, _ = emit_results([report], tmp_path, "forms")
+    csv_path, _ = emit_results([report], tmp_path)
     header, row = csv_path.read_text().splitlines()
     columns = dict(zip(header.split(","), row.split(",")))
     assert columns["bound"] == "1/42"
@@ -353,7 +356,7 @@ def test_emit_rationals_in_both_forms(tmp_path):
 
 def test_emit_yao_strategy_rows(tmp_path):
     report = yao_evaluate(gen_theorem3(8, Fraction(1, 10)), family_id="six")
-    csv_path, _ = emit_results([report], tmp_path, "yao")
+    csv_path, _ = emit_results([report], tmp_path)
     lines = csv_path.read_text().splitlines()
     assert len(lines) == 1 + 9
     assert all(line.startswith("six,") for line in lines[1:])

@@ -143,6 +143,17 @@ def test_config_rejects_out_of_order_or_non_positive_bounds(kind):
             config(kind, **bad)
 
 
+def test_config_converts_its_fields_and_names_each_fault():
+    bounds = MarketBounds(1, 2, 1, 2)
+    config = MechanismConfig(GREEDY, bounds, "8")
+    assert config.capacity == 8 and type(config.capacity) is int
+    assert config == MechanismConfig(GREEDY, bounds, 8)
+    assert MechanismConfig(GREEDY, bounds, 8, "1/2").alpha == Fraction(1, 2)
+    for field, value in (("capacity", True), ("alpha", True), ("alpha", 0.25)):
+        with pytest.raises(ValueError, match=f"mechanism config: field '{field}'"):
+            MechanismConfig(**{"kind": GREEDY, "bounds": bounds, "capacity": 8, field: value})
+
+
 def test_price_independent_of_value_window_and_history():
     base = job("x", 0, 10, 2, 3, 100)
     for kind in MECHANISM_KINDS:

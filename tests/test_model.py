@@ -1,8 +1,12 @@
 """Domain-type, validation, and file-format tests."""
 
-from dataclasses import replace
+import importlib
+from dataclasses import fields, is_dataclass, replace
 from fractions import Fraction
+from inspect import getsource
+from pathlib import Path
 from types import SimpleNamespace
+from typing import Union, get_args, get_origin, get_type_hints
 
 import pytest
 from hypothesis import given, settings
@@ -10,14 +14,21 @@ from hypothesis import strategies as st
 
 import validate_reference
 from cloudreserve import (
+    BINARY_FILTER,
+    GREEDY,
+    DeviationGrid,
+    Instance,
     InvalidInstanceError,
     MarketBounds,
+    MechanismConfig,
     OracleCapExceeded,
     RandomWorkloadSpec,
     Reservation,
+    YaoFamily,
     format_rational,
     gen_random,
     gen_theorem3,
+    gen_theorem5,
     instance_from_dict,
     instance_to_dict,
     load_instance,
@@ -28,6 +39,7 @@ from cloudreserve import (
     to_count,
     to_rational,
     validate_instance,
+    write_fields,
 )
 from cloudreserve import model, oracle
 from conftest import instance, job
@@ -405,3 +417,105 @@ def test_an_optimum_over_the_cap_is_raised_on_every_read(monkeypatch):
         with pytest.raises(OracleCapExceeded, match="12-job cap"):
             inst.optimum
     assert len(calls) == 2
+
+
+# --- declared field types drive every conversion --------------------------------
+
+def package_dataclasses() -> set:
+    """Every dataclass of the package."""
+    modules = [importlib.import_module(f"cloudreserve.{path.stem}")
+               for path in Path(model.__file__).parent.glob("*.py")]
+    return {
+        cls for module in modules for cls in vars(module).values()
+        if isinstance(cls, type) and is_dataclass(cls) and cls.__module__ == module.__name__
+    }
+
+
+def converting_bases() -> dict:
+    """Valid objects of each package dataclass that converts its fields, with
+    every optional field set in at least one of them."""
+    bounds = MarketBounds(1, 2, 1, 2)
+    inst = instance(8, [job("a", 0, 4, 1, 1, 1), job("b", 1, 5, 2, 2, 6)])
+    spec = RandomWorkloadSpec(
+        job_count=2, capacity=8, bounds=bounds, arrivals=(Fraction(0), Fraction(1, 2)),
+        slacks=(Fraction(0),), lengths=(Fraction(3, 2),), demands=(1, 2),
+        densities=(Fraction(1),), seed=3, tighten_bounds=True,
+    )
+    return {
+        Reservation: [job("x", Fraction(1, 2), 4, 2, 3, 6)],
+        MarketBounds: [MarketBounds(Fraction(1, 2), 2, 1, Fraction(5, 2))],
+        Instance: [inst],
+        RandomWorkloadSpec: [spec],
+        DeviationGrid: [DeviationGrid(points_per_dim=3, include_corners=True)],
+        MechanismConfig: [
+            MechanismConfig(BINARY_FILTER, bounds, 8, Fraction(1, 2)), MechanismConfig(GREEDY, bounds, 8),
+        ],
+        YaoFamily: [gen_theorem3(8, Fraction(1, 10)), gen_theorem5(1, 1, 4)],
+    }
+
+
+def test_every_converting_dataclass_has_a_base():
+    converting = {cls for cls in package_dataclasses() if "coerce_fields(self" in getsource(cls)}
+    assert converting == set(converting_bases())
+
+
+def declared_fields():
+    """(class, field, declared type) of every constructor field the bases cover."""
+    return [
+        (cls, f.name, get_type_hints(cls)[f.name])
+        for cls in converting_bases() for f in fields(cls) if f.init
+    ]
+
+
+def string_form(value):
+    """The form a file writes ``value`` in: "1/2", "8", or an array of such strings."""
+    if isinstance(value, tuple):
+        return [string_form(item) for item in value]
+    return str(value)
+
+
+@pytest.mark.parametrize(
+    "cls, name, hint", declared_fields(), ids=lambda x: getattr(x, "__name__", str(x))
+)
+def test_each_declared_field_type_converts_its_string_form(cls, name, hint):
+    optional = get_origin(hint) is Union
+    declared = get_args(hint)[0] if optional else hint
+    origin, items = get_origin(declared), get_args(declared)
+    # a base where the field is set; the bases where it is None show None passes
+    base = next(base for base in converting_bases()[cls] if getattr(base, name) is not None)
+    value = getattr(base, name)
+    if origin is tuple:
+        assert getattr(replace(base, **{name: list(value)}), name) == value
+        with pytest.raises(ValueError, match=f"field '{name}'"):
+            replace(base, **{name: "12"})
+        if is_dataclass(items[0]) or get_origin(items[0]) is tuple:
+            return
+    if is_dataclass(declared):  # built by its own class, never from its JSON object
+        with pytest.raises(ValueError, match=f"field '{name}'"):
+            replace(base, **{name: write_fields(value)})
+        return
+    if declared is str:
+        return  # taken as it is: only the file reader shape-checks it
+    if declared is bool:
+        with pytest.raises(ValueError, match=f"field '{name}'"):
+            replace(base, **{name: string_form(value)})  # "False" is not false
+        return
+    converted = replace(base, **{name: string_form(value)})
+    assert converted == base and getattr(converted, name) == value
+    assert type(getattr(converted, name)) is type(value)
+
+
+def test_instance_rejects_a_string_of_jobs():
+    with pytest.raises(ValueError, match="instance: field 'jobs'"):
+        Instance(capacity=8, bounds=MarketBounds(1, 2, 1, 2), jobs="ab")
+    with pytest.raises(ValueError, match="instance: field 'jobs'"):
+        Instance(capacity=8, bounds=MarketBounds(1, 2, 1, 2), jobs=["a", "b"])
+    listed = Instance(capacity=8, bounds=MarketBounds(1, 2, 1, 2), jobs=[job("a", 0, 4, 1, 1, 1)])
+    assert type(listed.jobs) is tuple and listed == instance(8, [job("a", 0, 4, 1, 1, 1)])
+
+
+def test_a_tuple_of_file_objects_is_kept_as_it_is():
+    inst = instance(8, [job("a", 0, 4, 1, 1, 1), job("b", 1, 5, 2, 2, 6)])
+    assert replace(inst).jobs is inst.jobs
+    family = gen_theorem3(8, Fraction(1, 10))
+    assert replace(family).bundles is family.bundles

@@ -2,7 +2,14 @@
 
 import ast
 import importlib
+from dataclasses import dataclass
+from fractions import Fraction  # resolves the "Fraction | str" annotation below
 from pathlib import Path
+from typing import Optional, Union
+
+import pytest
+
+from cloudreserve.model import coerce_fields
 
 PACKAGE_DIR = Path(__file__).resolve().parents[1] / "src" / "cloudreserve"
 LAYERS = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
@@ -186,3 +193,63 @@ def test_every_traced_name_resolves():
         if owner is None or not callable(vars(owner).get(attr)):
             missing.append(f"{span}: {module_name}.{path}")
     assert missing == []
+
+
+def coerce_calls(path: Path) -> list[str]:
+    """``coerce_fields`` calls that pass more than ``(self, owner)``: each
+    field's declared type picks its converter, so no call lists one."""
+    return [
+        f"{path.name}:{node.lineno}: coerce_fields(...)"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "coerce_fields"
+        and (len(node.args) != 2 or node.keywords or getattr(node.args[0], "id", None) != "self")
+    ]
+
+
+def test_every_coerce_fields_call_passes_only_self_and_owner():
+    modules = sorted(PACKAGE_DIR.glob("*.py"))
+    assert any("coerce_fields(self" in path.read_text() for path in modules)
+    violations = [line for path in modules for line in coerce_calls(path)]
+    assert violations == []
+
+
+def hand_readers(path: Path) -> list[str]:
+    """Definitions of ``from_dict`` or ``*_from_dict``: ``model.read_object``
+    reads every file object, and ``instance_from_dict`` is its one named call."""
+    return [
+        f"{path.name}:{node.lineno}: def {node.name}"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.FunctionDef)
+        and node.name.endswith("from_dict")
+        and node.name != "instance_from_dict"
+    ]
+
+
+def test_no_module_defines_a_hand_reader():
+    modules = sorted(PACKAGE_DIR.glob("*.py"))
+    assert modules
+    violations = [line for path in modules for line in hand_readers(path)]
+    assert violations == []
+
+
+@pytest.mark.parametrize(
+    "declared", [float, dict, list[int], tuple[int, int], Optional[str], Union[int, str], "Fraction | str"],
+    ids=repr,
+)
+def test_a_field_type_with_no_rule_is_a_type_error(declared):
+    """A new field can never skip conversion in silence: the first object of a
+    class with a field type no rule covers fails to build, and so does every
+    later one."""
+
+    @dataclass(frozen=True)
+    class Throwaway:
+        count: int
+        extra: declared
+
+        def __post_init__(self) -> None:
+            coerce_fields(self, "throwaway")
+
+    for _ in range(2):
+        with pytest.raises(TypeError, match="no conversion rule"):
+            Throwaway(1, None)
