@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import singledispatch
-from itertools import accumulate, combinations, product, repeat
+from itertools import accumulate, combinations, compress, product, repeat
 from operator import sub
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
@@ -75,12 +75,6 @@ def effective_spreads(config: MechanismConfig, inst: Instance) -> tuple[Fraction
     return realized.rho_max / config.bounds.rho_min, realized.T
 
 
-def _require_alpha(config: MechanismConfig) -> Fraction:
-    if config.alpha is None:
-        raise ValueError(f"{config.kind} bound claims require alpha")
-    return config.alpha
-
-
 def _check_alpha_conformance(config: MechanismConfig, inst: Instance) -> None:
     if config.alpha is None:
         return
@@ -107,9 +101,10 @@ def claimed_bound(config: MechanismConfig, inst: Instance) -> Fraction:
             return 1 / (8 * t_eff * k_eff + 4 * k_eff + 2)
     if config.capacity_coin:
         base = Fraction(1, 42)
+    elif config.alpha is None:
+        raise ValueError(f"{config.kind} bound claims require alpha")
     else:
-        alpha = _require_alpha(config)
-        base = (1 - alpha) / (11 - alpha)
+        base = (1 - config.alpha) / (11 - config.alpha)
     level_k, level_t = config.levels
     return base / (level_k * level_t)
 
@@ -387,26 +382,25 @@ def _axis_points(job: Reservation, capacity: int, points: int) -> dict[str, list
     }
 
 
-def deviations_for(job: Reservation, capacity: int, grid: DeviationGrid) -> list[dict]:
-    axes = _axis_points(job, capacity, grid.points_per_dim)
-    deviations: list[dict] = []
+def deviations_for(job: Reservation, capacity: int, grid: DeviationGrid) -> tuple[tuple, ...]:
+    """``job``'s misreports on ``grid``, each a ready report
+    ``(a, d, t, c, v, repriced, changes)``: the reported fields, whether t or c
+    changed (so the price must be quoted again), and the changed fields as
+    sorted (field, value) pairs.  The one-field sweeps come first, in axis
+    order, then each new corner combination of the axes' last points."""
     truthful = {"a": job.a, "d": job.d, "t": job.t, "c": job.c, "v": job.v}
-    for field, values in axes.items():
-        for value in values:
-            if value != truthful[field]:
-                deviations.append({field: value})
+    axes = _axis_points(job, capacity, grid.points_per_dim)
+    changes = [((f, value),) for f, values in axes.items() for value in values if value != truthful[f]]
     if grid.include_corners:
-        extremes = {field: values[-1] for field, values in axes.items()}
-        fields = list(extremes)
-        for mask in product((False, True), repeat=len(fields)):
-            changes = {
-                field: extremes[field]
-                for field, flip in zip(fields, mask)
-                if flip and extremes[field] != truthful[field]
-            }
-            if changes and changes not in deviations:
-                deviations.append(changes)
-    return deviations
+        moved = [(f, values[-1]) for f, values in axes.items() if values[-1] != truthful[f]]
+        for mask in product((False, True), repeat=len(moved)):
+            corner = tuple(sorted(compress(moved, mask)))
+            if corner and corner not in changes:
+                changes.append(corner)
+    return tuple(
+        (*{**truthful, **dict(pairs)}.values(), any(f in ("t", "c") for f, _ in pairs), pairs)
+        for pairs in changes
+    )
 
 
 def truthfulness_audit(
@@ -427,32 +421,30 @@ def truthfulness_audit(
     when p-hat < bar, its reported value covers p-hat, and earliest-fit finds
     a slot for its reported window, length and demand; its gain is
     bar - p-hat.  p-hat is p when neither t nor c changed, because the price
-    reads only those (``test_price_reads_only_length_and_demand``).
+    reads only those (``test_price_reads_only_length_and_demand``).  Each
+    job's grid is built once per instance object by ``deviations_for`` and
+    kept in ``inst.audit_grids`` under (capacity, grid), so every kind and
+    coin tuple audited on that object reads the same ready reports.
     tests/test_audit.py compares whole reports with tests/audit_reference.py,
     the audit with one copy and one ``evaluate_arrival`` per deviation.
     """
     price_of = price_rule(config, coins)
+    grids, key = inst.audit_grids, (config.capacity, grid)
+    if key not in grids:
+        grids[key] = tuple(deviations_for(job, config.capacity, grid) for job in inst.jobs)
     timeline = CapacityTimeline.empty(config.capacity)
     tested = 0
     profitable: list[ProfitableDeviation] = []
-    for job in inst.jobs:
+    for job, reports in zip(inst.jobs, grids[key]):
         price = price_of(job.t, job.c)
         start = timeline.earliest_feasible_start(job) if job.v >= price else None
         bar = job.v if start is None else price
-        for changes in deviations_for(job, config.capacity, grid):
-            tested += 1
-            t, c = changes.get("t", job.t), changes.get("c", job.c)
-            reported_price = price_of(t, c) if "t" in changes or "c" in changes else price
-            if (
-                reported_price < bar
-                and changes.get("v", job.v) >= reported_price
-                and timeline.earliest_fit(
-                    changes.get("a", job.a), changes.get("d", job.d), t, c
-                ) is not None
-            ):
-                profitable.append(ProfitableDeviation(
-                    job.id, tuple(sorted(changes.items())), bar - reported_price
-                ))
+        tested += len(reports)
+        for a, d, t, c, v, repriced, changes in reports:
+            reported_price = price_of(t, c) if repriced else price
+            could_pay = reported_price < bar and v >= reported_price
+            if could_pay and timeline.earliest_fit(a, d, t, c) is not None:
+                profitable.append(ProfitableDeviation(job.id, changes, bar - reported_price))
         if start is not None:
             timeline = timeline.commit(job, start)
     return AuditReport(

@@ -4,13 +4,14 @@ Every time and money quantity is an exact rational (``fractions.Fraction``),
 never a float: feasibility of hardness instances hinges on values like
 2 - 1/1000, where rounding could flip an accept/reject decision.  All types
 are immutable value objects and safe to share across concurrent runs; an
-``Instance`` memoises its offline optimum on itself, never by value.
+``Instance`` memoises its offline optimum and keeps its audit grids on itself,
+never by value.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from functools import cache, cached_property, partial
@@ -73,7 +74,8 @@ def _array(item: Callable, values) -> tuple:
 
 def _taken_as_is(cls, value):
     """``value`` if it is a ``cls``: a flag only if it is true or false (the
-    string "false" is not false), a nested file object only as its class built it."""
+    string "false" is not false), a str only if it is one (a job id 5 would be
+    written as a number), a nested file object only as its class built it."""
     if not isinstance(value, cls):
         raise TypeError(f"expected a {cls.__name__}, got {value!r}")
     return value
@@ -83,7 +85,8 @@ _SCALARS = {Fraction: to_rational, int: to_count, str: None}
 
 
 def _converter(hint) -> Optional[Callable]:
-    """The converter of a field declared ``hint``, None for a str; a type with
+    """The converter of a field declared ``hint``, None for a str, which
+    ``_schema`` only type-checks and no Optional or tuple may wrap; a type with
     no rule is a TypeError, so no field can skip conversion in silence."""
     origin, args = get_origin(hint), get_args(hint)
     if origin in (Union, UnionType) and args[1:] == (type(None),) and (item := _converter(args[0])):
@@ -100,15 +103,16 @@ def _converter(hint) -> Optional[Callable]:
 @cache
 def _schema(cls) -> tuple:
     """A dataclass's constructor fields, read once from their declared types:
-    each name's type, in order; the defaults; each (name, converter); the str
-    fields; and each nested file object as (name, class, array or not)."""
+    each name's type, in order; the defaults; each (name, converter), a str
+    field's being its type check; the str fields; and each nested file object
+    as (name, class, array or not)."""
     types = get_type_hints(cls)
     hints = {f.name: types[f.name] for f in fields(cls) if f.init}
     items = {name: get_args(h)[0] if get_origin(h) is tuple else h for name, h in hints.items()}
     return (
         hints,
         {f.name: f.default for f in fields(cls) if f.init and f.default is not MISSING},
-        tuple((name, convert) for name, h in hints.items() if (convert := _converter(h))),
+        tuple((name, _converter(h) or partial(_taken_as_is, str)) for name, h in hints.items()),
         tuple(name for name, h in hints.items() if h is str),
         tuple((name, i, i is not hints[name]) for name, i in items.items() if is_dataclass(i)),
     )
@@ -186,7 +190,7 @@ class Reservation:
     def __post_init__(self) -> None:
         if (
             type(self.c) is int and type(self.a) is Fraction and type(self.d) is Fraction
-            and type(self.t) is Fraction and type(self.v) is Fraction
+            and type(self.t) is Fraction and type(self.v) is Fraction and type(self.id) is str
         ):
             return  # already canonical: coercion would return the same objects
         coerce_fields(self, f"job {self.id}")
@@ -237,12 +241,16 @@ class Instance:
     The job order is the online order: a mechanism deciding jobs[i] must never
     look at jobs[i+1:].  Valid by construction: the constructor (so also
     ``dataclasses.replace`` and the file codec) raises ``InvalidInstanceError``
-    listing every violation ``validate_instance`` finds.
+    listing every violation ``validate_instance`` finds.  Besides its offline
+    optimum, an instance keeps on itself the misreport grids the audit builds
+    for its jobs (``audit_grids``).
     """
 
     capacity: int
     bounds: MarketBounds
     jobs: tuple[Reservation, ...]
+    # each job's harness.deviations_for grid by (capacity, grid), filled by the audit
+    audit_grids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         coerce_fields(self, "instance")

@@ -2,6 +2,7 @@
 deviation: whole reports must be equal, profitable lists in the same order,
 under the real price rule, under two broken ones and under a broken timeline."""
 
+from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
 
@@ -16,6 +17,7 @@ from cloudreserve import (
     Coins,
     DeviationGrid,
     MechanismConfig,
+    audit_all_coins,
     coin_space,
     harness,
     mechanisms,
@@ -91,15 +93,61 @@ def test_audit_matches_reference_on_profitable_misreports(rule):
 
 
 def test_grid_matches_reference():
-    """The one-step axes hold the reference's points in its order."""
+    """The one-step axes hold the reference's points in its order, each ready
+    report holds the fields ``Reservation.report`` would copy, and it asks for
+    a new price exactly when t or c changed."""
     for seed in range(20):
         for job in make_workload(seed, 9, job_count=5).jobs:
             for points in range(2, 8):
                 for corners in (False, True):
                     grid = DeviationGrid(points_per_dim=points, include_corners=corners)
-                    assert harness.deviations_for(job, 9, grid) == (
-                        audit_reference.deviations_for(job, 9, grid)
-                    )
+                    reports = harness.deviations_for(job, 9, grid)
+                    expected = audit_reference.deviations_for(job, 9, grid)
+                    assert [dict(report[-1]) for report in reports] == expected
+                    for (*fields, repriced, changes), wanted in zip(reports, expected):
+                        assert changes == tuple(sorted(wanted.items()))
+                        copy = job.report(**wanted)
+                        assert fields == [copy.a, copy.d, copy.t, copy.c, copy.v]
+                        assert repriced == ("t" in wanted or "c" in wanted)
+
+
+def test_each_jobs_grid_is_built_once_per_instance_object():
+    """Every kind and coin tuple audited on one instance reads the grids its
+    first audit built, one ``deviations_for`` per job; a value-equal copy
+    builds its own, so no grid carries from one object to the next."""
+    inst = make_workload(3, 8, job_count=5)
+    with mock.patch.object(harness, "deviations_for", wraps=harness.deviations_for) as built:
+        for kind in MECHANISM_KINDS:
+            config = MechanismConfig(kind=kind, bounds=inst.bounds, capacity=8)
+            reports = audit_all_coins(config, inst)
+            assert len(reports) == len(coin_space(config))
+        assert [call.args for call in built.call_args_list] == [
+            (job, 8, DeviationGrid()) for job in inst.jobs
+        ]
+        copy = replace(inst)
+        assert copy == inst and hash(copy) == hash(inst) and repr(copy) == repr(inst)
+        assert audit_all_coins(config, copy) == reports
+        assert built.call_count == 2 * len(inst.jobs)
+
+
+def test_each_capacity_and_grid_audited_on_one_instance_builds_its_own():
+    """One instance object audited at its own capacity on two grids and at a
+    larger capacity, whose demand axis differs: under a rule that pays for
+    large demands, every report still equals the reference's."""
+    inst = make_workload(7, 8, job_count=5)
+    corners = DeviationGrid(points_per_dim=3, include_corners=True)
+    keys = [(8, DeviationGrid()), (8, corners), (9, DeviationGrid()), (8, DeviationGrid())]
+    for capacity, grid in keys:
+        for kind in MECHANISM_KINDS:
+            config = MechanismConfig(kind=kind, bounds=inst.bounds, capacity=capacity)
+            pairs = audits(config, inst, grid, discount_for_large_demand)
+            assert any(fast.profitable_deviations for fast, _ in pairs)
+            for fast, slow in pairs:
+                assert fast == slow
+    assert list(inst.audit_grids) == keys[:3]
+    for (capacity, grid), built in inst.audit_grids.items():
+        assert built == tuple(harness.deviations_for(job, capacity, grid) for job in inst.jobs)
+    assert inst.audit_grids[(8, DeviationGrid())] != inst.audit_grids[(9, DeviationGrid())]
 
 
 def one_job_case():
@@ -136,7 +184,13 @@ def test_audit_checks_the_reported_value_against_the_reported_price():
     def two_misreports(job, capacity, grid):
         return [{"t": 2 * job.t, "v": job.v / 100}, {"t": 2 * job.t, "v": 2 * job.v}]
 
-    with mock.patch.object(harness, "deviations_for", two_misreports), \
+    def two_reports(job, capacity, grid):
+        return tuple(
+            (job.a, job.d, changes["t"], job.c, changes["v"], True, tuple(sorted(changes.items())))
+            for changes in two_misreports(job, capacity, grid)
+        )
+
+    with mock.patch.object(harness, "deviations_for", two_reports), \
             mock.patch.object(audit_reference, "deviations_for", two_misreports):
         ((fast, slow),) = audits(config, inst, DeviationGrid(), rebate_for_long_reports)
     assert fast == slow

@@ -204,8 +204,8 @@ def test_grid_has_five_points_per_dimension():
     j = job("x", 0, 10, 2, 3, 6)
     deviations = deviations_for(j, 8, DeviationGrid(points_per_dim=5))
     by_field: dict[str, set] = {}
-    for change in deviations:
-        ((field, value),) = change.items()
+    for *_, changes in deviations:
+        ((field, value),) = changes
         by_field.setdefault(field, set()).add(value)
     # 4 non-truthful points per dimension; the truthful 5th is the baseline
     assert {field: len(values) for field, values in by_field.items()} == {
@@ -229,7 +229,7 @@ def test_grid_corners_extend_the_sweeps():
     singles = deviations_for(j, 8, DeviationGrid(points_per_dim=5))
     with_corners = deviations_for(j, 8, DeviationGrid(points_per_dim=5, include_corners=True))
     assert len(with_corners) > len(singles)
-    assert any(len(change) > 1 for change in with_corners)
+    assert any(len(changes) > 1 for *_, changes in with_corners)
 
 
 def test_grid_file_defaults_are_the_dataclass_defaults():

@@ -153,6 +153,31 @@ def test_instance_file_round_trip(tmp_path):
     assert path.read_text() == text
 
 
+def test_a_job_id_must_be_a_string():
+    """Every other field canonical or not, the constructor rejects an id that
+    is not a string and names it, so no job is built that its file could not
+    hold."""
+    for fields_ in ((0, 4, 1, 1, 1), (Fraction(0), Fraction(4), Fraction(1), 1, Fraction(1))):
+        for bad in (5, None, b"j0"):
+            with pytest.raises(ValueError, match=f"job {bad}: field 'id': expected a str"):
+                Reservation(bad, *fields_)
+
+
+def test_every_job_the_constructor_builds_reads_back_from_its_file(tmp_path):
+    """An id such as "5" is written as a JSON string and read back as one; the
+    number 5, which no reader takes, never reaches ``save_instance``."""
+    path = tmp_path / "inst.json"
+    inst = instance(8, [job("5", 0, 4, 1, 1, 1)])
+    save_instance(inst, path)
+    assert load_instance(path) == inst and load_instance(path).jobs[0].id == "5"
+    with pytest.raises(ValueError, match="field 'id'"):
+        Instance(capacity=8, bounds=MarketBounds(1, 2, 1, 2), jobs=(Reservation(5, 0, 4, 1, 1, 1),))
+    data = instance_to_dict(inst)
+    data["jobs"][0]["id"] = 5
+    with pytest.raises(ValueError, match="field 'id': expected a JSON string, got number"):
+        instance_from_dict(data)
+
+
 def test_instance_dict_version_check():
     for version in (99, None):
         data = instance_to_dict(instance(4, []))
@@ -494,8 +519,10 @@ def test_each_declared_field_type_converts_its_string_form(cls, name, hint):
         with pytest.raises(ValueError, match=f"field '{name}'"):
             replace(base, **{name: write_fields(value)})
         return
-    if declared is str:
-        return  # taken as it is: only the file reader shape-checks it
+    if declared is str:  # taken as it is, but only as a string, the one form a file holds
+        with pytest.raises(ValueError, match=f"field '{name}': expected a str, got 5"):
+            replace(base, **{name: 5})
+        return
     if declared is bool:
         with pytest.raises(ValueError, match=f"field '{name}'"):
             replace(base, **{name: string_form(value)})  # "False" is not false
