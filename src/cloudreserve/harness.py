@@ -86,6 +86,13 @@ def _check_alpha_conformance(config: MechanismConfig, inst: Instance) -> None:
             )
 
 
+def _check_capacity(config: MechanismConfig, inst: Instance) -> None:
+    """A ratio divides a run at ``config.capacity`` by an optimum at
+    ``inst.capacity``, so the two must agree."""
+    if config.capacity != inst.capacity:
+        raise ValueError(f"capacity: config has {config.capacity}, instance has {inst.capacity}")
+
+
 def claimed_bound(config: MechanismConfig, inst: Instance) -> Fraction:
     """The competitive-ratio guarantee applicable to this run.
 
@@ -125,6 +132,7 @@ def exact_expectation(
     instance_id: str = "instance",
 ) -> RatioReport:
     """Exact expected welfare/revenue against the offline optimum."""
+    _check_capacity(config, inst)
     bound = claimed_bound(config, inst)
     expected_welfare, expected_revenue, count = expected_performance(config, inst)
     opt = inst.optimum.opt_welfare
@@ -184,6 +192,7 @@ def binary_filter_band_checks(config: MechanismConfig, inst: Instance) -> tuple[
     """
     if config.kind != BINARY_FILTER:
         raise ValueError("band checks apply to the binary-filter mechanism")
+    _check_capacity(config, inst)
     welfare_sums: dict[tuple[int, int], Fraction] = {}
     for outcome in run_coin_space(config, inst):
         band = (outcome.coins.u, outcome.coins.v)

@@ -62,13 +62,13 @@ def to_count(value: Union[int, str]) -> int:
     return int(_plain_ascii(value, "an integer") if isinstance(value, str) else value)
 
 
-def _array(item: Callable, values) -> tuple:
-    """A list or tuple, item by item through ``item``: a string is a sequence
-    too, and "17" would otherwise be the items 1 and 7.  A tuple whose items
-    all convert to themselves is kept, as ``tuple()`` keeps it."""
+def _array(item: Callable, kind, values) -> tuple:
+    """A list or tuple, item by item through ``item`` unless already a ``kind``:
+    a string is a sequence too, and "17" would otherwise be the items 1 and 7.
+    A tuple whose items all convert to themselves is kept, as ``tuple()`` keeps it."""
     if not isinstance(values, (list, tuple)):
         raise TypeError(f"expected a list, got {values!r}")
-    items = tuple(map(item, values))
+    items = tuple(value if type(value) is kind else item(value) for value in values)
     return values if type(values) is tuple and all(map(is_, items, values)) else items
 
 
@@ -92,7 +92,7 @@ def _converter(hint) -> Optional[Callable]:
     if origin in (Union, UnionType) and args[1:] == (type(None),) and (item := _converter(args[0])):
         return lambda value: value if value is None else item(value)
     if origin is tuple and args[1:] == (Ellipsis,) and (item := _converter(args[0])):
-        return partial(_array, item)
+        return partial(_array, item, args[0])
     if hint in _SCALARS:
         return _SCALARS[hint]
     if hint is bool or is_dataclass(hint):
@@ -103,30 +103,31 @@ def _converter(hint) -> Optional[Callable]:
 @cache
 def _schema(cls) -> tuple:
     """A dataclass's constructor fields, read once from their declared types:
-    each name's type, in order; the defaults; each (name, converter), a str
-    field's being its type check; the str fields; and each nested file object
-    as (name, class, array or not)."""
+    each name's type, in order; the defaults; each (name, type, converter), a
+    str field's converter being its type check; the str fields; and each
+    nested file object as (name, class, array or not)."""
     types = get_type_hints(cls)
     hints = {f.name: types[f.name] for f in fields(cls) if f.init}
     items = {name: get_args(h)[0] if get_origin(h) is tuple else h for name, h in hints.items()}
     return (
         hints,
         {f.name: f.default for f in fields(cls) if f.init and f.default is not MISSING},
-        tuple((name, _converter(h) or partial(_taken_as_is, str)) for name, h in hints.items()),
+        tuple((name, h, _converter(h) or partial(_taken_as_is, str)) for name, h in hints.items()),
         tuple(name for name, h in hints.items() if h is str),
         tuple((name, i, i is not hints[name]) for name, i in items.items() if is_dataclass(i)),
     )
 
 
 def coerce_fields(obj, owner: str) -> None:
-    """Convert each field of a frozen dataclass in place by its declared type;
-    a value the converter rejects becomes a ValueError naming the owner and
-    the field."""
-    for name, convert in _schema(type(obj))[2]:  # each field's (name, converter)
-        try:
-            object.__setattr__(obj, name, convert(getattr(obj, name)))
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{owner}: field {name!r}: {exc}") from exc
+    """Convert each field of a frozen dataclass in place by its declared type,
+    unless it already has that exact type (a bool is no int); a value the
+    converter rejects becomes a ValueError naming the owner and the field."""
+    for name, hint, convert in _schema(type(obj))[2]:
+        if type(value := getattr(obj, name)) is not hint:
+            try:
+                object.__setattr__(obj, name, convert(value))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{owner}: field {name!r}: {exc}") from exc
 
 
 _JSON_TYPES = {dict: "object", list: "array", str: "string", bool: "boolean",
@@ -188,11 +189,6 @@ class Reservation:
     v: Fraction
 
     def __post_init__(self) -> None:
-        if (
-            type(self.c) is int and type(self.a) is Fraction and type(self.d) is Fraction
-            and type(self.t) is Fraction and type(self.v) is Fraction and type(self.id) is str
-        ):
-            return  # already canonical: coercion would return the same objects
         coerce_fields(self, f"job {self.id}")
 
     @property

@@ -168,10 +168,8 @@ def optimal_welfare(inst: Instance, *, node_cap: int = DEFAULT_NODE_CAP) -> Orac
     def branch(index: int, chosen: list[ScaledJob], value: Fraction) -> None:
         nonlocal best_value, best_witness
         budget.charge()
-        if value + suffix_value[index] <= best_value:
+        if value + suffix_value[index] <= best_value:  # true at every leaf (suffix 0)
             return  # even taking every remaining job cannot strictly improve
-        if index == len(jobs):
-            return
         job = jobs[index]
         chosen.append(scaled[job.id])
         witness = _feasible(inst.capacity, chosen, starts, budget)

@@ -50,12 +50,6 @@ class CapacityTimeline:
             raise ValueError("capacity must be >= 1")
         return CapacityTimeline(capacity=capacity)
 
-    def usage_at(self, at: Fraction) -> int:
-        idx = bisect_right(self.points, at, key=_time) - 1
-        if idx < 0:
-            return 0
-        return self.points[idx][1]
-
     def max_usage(self, start: Fraction, end: Fraction) -> int:
         """Peak usage over [start, end); 0 for an empty or out-of-profile range."""
         if end <= start:

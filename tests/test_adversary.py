@@ -265,6 +265,21 @@ def test_spec_rejects_inconsistent_choices():
         )
 
 
+@pytest.mark.parametrize("changes, message", [
+    (dict(job_count=-1), "job_count must be >= 0"),
+    (dict(capacity=0), "capacity must be >= 1"),
+    (dict(slacks=(Fraction(0), Fraction(-1, 2))), "slacks must be >= 0"),
+    (dict(densities=(Fraction(1), Fraction(3))), "density choices fall outside the market bounds"),
+    (dict(densities=(Fraction(1, 2),)), "density choices fall outside the market bounds"),
+    (dict(demands=(1, 9)), "demand choices fall outside [1, capacity]"),
+    (dict(demands=(0,)), "demand choices fall outside [1, capacity]"),
+], ids=repr)
+def test_spec_rejects_each_out_of_range_field(changes, message):
+    with pytest.raises(ValueError) as excinfo:
+        replace(spec_for(), **changes)
+    assert str(excinfo.value) == message
+
+
 def test_family_with_list_bundles_is_hashable():
     family = gen_theorem3(8, Fraction(1, 10))
     listed = replace(family, bundles=[list(bundle) for bundle in family.bundles])

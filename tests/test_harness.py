@@ -132,6 +132,14 @@ def test_every_kind_on_one_instance_shares_one_oracle_solve(monkeypatch):
     assert len(calls) == 2
 
 
+def test_a_ratio_needs_the_run_and_the_optimum_at_one_capacity():
+    # at capacity 12 all three jobs run at time 0; the instance's capacity 4 holds one
+    inst = instance(4, [job(f"j{i}", 0, 2, 2, 4, 16) for i in range(3)])
+    for kind, check in ((RANDOM_PRICING, exact_expectation), (BINARY_FILTER, binary_filter_band_checks)):
+        with pytest.raises(ValueError, match="capacity: config has 12, instance has 4"):
+            check(MechanismConfig(kind, inst.bounds, 12), inst)
+
+
 # --- band checks -------------------------------------------------------------
 
 def test_band_assignment():
@@ -230,6 +238,13 @@ def test_grid_corners_extend_the_sweeps():
     with_corners = deviations_for(j, 8, DeviationGrid(points_per_dim=5, include_corners=True))
     assert len(with_corners) > len(singles)
     assert any(len(changes) > 1 for *_, changes in with_corners)
+
+
+@pytest.mark.parametrize("points", [1, 0, -5])
+def test_grid_needs_two_points_per_dimension(points):
+    with pytest.raises(ValueError) as excinfo:
+        DeviationGrid(points_per_dim=points)
+    assert str(excinfo.value) == "points_per_dim must be >= 2"
 
 
 def test_grid_file_defaults_are_the_dataclass_defaults():

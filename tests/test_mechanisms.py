@@ -129,6 +129,20 @@ def test_band_coins_outside_the_coin_space_are_rejected():
         run_sequence(config(BINARY_FILTER), Coins(i=0, u=0, v=1), instance(8, [j]))
 
 
+@pytest.mark.parametrize("changes, message", [
+    (dict(kind="posted-price"), "unknown mechanism kind 'posted-price'"),
+    (dict(capacity=0), "capacity must be >= 1"),
+    (dict(capacity=-8), "capacity must be >= 1"),
+    (dict(alpha=Fraction(0)), "alpha must lie in (0, 1/2]"),
+    (dict(alpha=Fraction(-1, 4)), "alpha must lie in (0, 1/2]"),
+    (dict(alpha=Fraction(3, 5)), "alpha must lie in (0, 1/2]"),
+], ids=repr)
+def test_config_rejects_an_unknown_kind_capacity_or_alpha(changes, message):
+    with pytest.raises(ValueError) as excinfo:
+        MechanismConfig(**{"kind": GREEDY, "bounds": MarketBounds(1, 2, 1, 2), "capacity": 8, **changes})
+    assert str(excinfo.value) == message
+
+
 @pytest.mark.parametrize("kind", MECHANISM_KINDS)
 def test_config_rejects_out_of_order_or_non_positive_bounds(kind):
     for bad, message in (

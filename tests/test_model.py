@@ -273,6 +273,35 @@ def test_canonical_fields_are_kept_as_the_same_objects():
     assert moved.d is d and moved.t is t and moved.v is v
 
 
+@pytest.fixture
+def refusing_converters(monkeypatch):
+    """Every field converter fails the test while the fixture lasts: the
+    schemas are read again under the refusing ones, and again after them."""
+
+    def refuse(*args):
+        raise AssertionError(f"converter called on {args[-1]!r}")
+
+    monkeypatch.setitem(model._SCALARS, Fraction, refuse)
+    monkeypatch.setitem(model._SCALARS, int, refuse)
+    monkeypatch.setattr(model, "_taken_as_is", refuse)
+    model._schema.cache_clear()
+    yield
+    model._schema.cache_clear()
+
+
+def test_fields_of_their_declared_types_call_no_converter(refusing_converters):
+    one, two = Fraction(1), Fraction(2)
+    bounds = MarketBounds(rho_min=one, rho_max=two, t_min=one, t_max=two)
+    jobs = (Reservation(id="a", a=Fraction(0), d=Fraction(4), t=one, c=1, v=one),)
+    inst = Instance(capacity=8, bounds=bounds, jobs=jobs)
+    assert inst.bounds is bounds and inst.jobs is jobs
+    # the refusal is reached for a field of another type, a bool for an int included
+    with pytest.raises(AssertionError, match="converter called on 0"):
+        Reservation(id="a", a=0, d=Fraction(4), t=one, c=1, v=one)
+    with pytest.raises(AssertionError, match="converter called on True"):
+        Reservation(id="a", a=Fraction(0), d=Fraction(4), t=one, c=True, v=one)
+
+
 def test_int_and_string_fields_become_fractions():
     r = Reservation(id="x", a=0, d="9/2", t="3/2", c="2", v=3)
     assert (r.a, r.d, r.t, r.c, r.v) == (0, Fraction(9, 2), Fraction(3, 2), 2, 3)

@@ -58,6 +58,17 @@ def test_hardness_optimum_takes_newest_bundle():
         assert optimal_welfare(inst).opt_welfare == value
 
 
+@pytest.mark.parametrize("subset, message", [
+    (["zz"], "subset refers to unknown job ids: ['zz']"),
+    (["j1", "zz", "aa"], "subset refers to unknown job ids: ['aa', 'zz']"),
+], ids=repr)
+def test_subset_feasible_rejects_an_unknown_job_id(subset, message):
+    inst = instance(2, [job("j1", 0, 2, 2, 1, 2), job("j2", 0, 2, 2, 1, 2)])
+    with pytest.raises(ValueError) as excinfo:
+        subset_feasible(inst, subset)
+    assert str(excinfo.value) == message
+
+
 def test_job_cap_fault():
     jobs = [job(f"j{k}", 0, 30, 1, 1, 1) for k in range(13)]
     inst = instance(4, jobs)

@@ -253,3 +253,67 @@ def test_a_field_type_with_no_rule_is_a_type_error(declared):
     for _ in range(2):
         with pytest.raises(TypeError, match="no conversion rule"):
             Throwaway(1, None)
+
+
+# Public names no package code names, each with why it stays.
+UNCALLED = {
+    "emit_results": "library entry point",
+    "audit_all_coins": "library entry point",
+    "binary_filter_band_checks": "library entry point",
+    "evaluate_arrival": "traced by bench/layers.py: ROADMAP item 8, then item 14",
+    "CapacityTimeline.max_usage": "traced by bench/layers.py: ROADMAP item 8, then item 14",
+}
+
+
+def public_definitions(tree: ast.Module):
+    """(qualified name, node) of each public module-level function and each
+    public method of a public class."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for method in node.body:
+                if isinstance(method, ast.FunctionDef) and not method.name.startswith("_"):
+                    yield f"{node.name}.{method.name}", method
+
+
+def is_click_command(node: ast.FunctionDef) -> bool:
+    """Decorated ``@group.command(...)``: click calls it, not the package."""
+    return any(
+        isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute) and d.func.attr == "command"
+        for d in node.decorator_list
+    )
+
+
+def uncalled_definitions(allowed) -> list[str]:
+    """Public functions and methods whose name no ``ast.Name`` or
+    ``ast.Attribute`` in the package source outside their own definition
+    carries, leaving out click commands and the ``allowed`` names."""
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    named = [
+        (node, node.id if isinstance(node, ast.Name) else node.attr)
+        for tree in trees.values() for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    ]
+    found = []
+    for module, tree in trees.items():
+        for qualified, definition in public_definitions(tree):
+            if qualified in allowed or is_click_command(definition):
+                continue
+            inside = {id(node) for node in ast.walk(definition)}
+            name = qualified.rpartition(".")[2]
+            if not any(used == name and id(node) not in inside for node, used in named):
+                found.append(qualified)
+    return found
+
+
+def test_every_public_function_has_a_caller_in_the_package():
+    """A public name nothing in the package names is either an entry point,
+    kept on ``UNCALLED`` with its reason, or code to delete."""
+    assert uncalled_definitions(UNCALLED) == []
+
+
+def test_every_uncalled_name_is_defined_and_has_no_caller():
+    """An ``UNCALLED`` entry that gains a caller or loses its definition goes."""
+    assert sorted(uncalled_definitions({})) == sorted(UNCALLED)

@@ -11,15 +11,32 @@ from cloudreserve import CapacityError, CapacityTimeline
 from conftest import job
 
 
+def usage_at(tl, at):
+    """The level of ``tl`` at ``at``, read by the reference timeline on the same points."""
+    return reference.CapacityTimeline(tl.capacity, tl.points).usage_at(at)
+
+
 def test_residual_on_empty_timeline():
     tl = CapacityTimeline.empty(8)
-    assert tl.capacity - tl.usage_at(5) == 8
+    assert tl.capacity - usage_at(tl, 5) == 8
 
 
 def test_residual_after_commit_and_half_open_boundary():
     tl = CapacityTimeline.empty(8).commit(job("a", 0, 5, 5, 3, 5), 0)
-    assert tl.capacity - tl.usage_at(2) == 5
-    assert tl.capacity - tl.usage_at(5) == 8  # [0, 5) is half-open
+    assert tl.capacity - usage_at(tl, 2) == 5
+    assert tl.capacity - usage_at(tl, 5) == 8  # [0, 5) is half-open
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: CapacityTimeline.empty(0), "capacity must be >= 1"),
+    (lambda: CapacityTimeline.empty(-1), "capacity must be >= 1"),
+    (lambda: CapacityTimeline.empty(4).add(2, 2, 1), "empty occupation interval"),
+    (lambda: CapacityTimeline.empty(4).add(Fraction(5, 2), Fraction(3, 2), 1), "empty occupation interval"),
+], ids=["empty(0)", "empty(-1)", "add(2, 2, 1)", "add(5/2, 3/2, 1)"])
+def test_timeline_rejects_no_capacity_and_an_empty_interval(build, message):
+    with pytest.raises(ValueError) as excinfo:
+        build()
+    assert str(excinfo.value) == message
 
 
 def test_earliest_start_empty_profile():
@@ -41,14 +58,14 @@ def test_commit_additivity():
     tl = CapacityTimeline.empty(4)
     tl = tl.commit(job("a", 0, 5, 5, 3, 15), 0)
     tl = tl.commit(job("b", 0, 5, 5, 1, 5), 0)
-    assert tl.usage_at(3) == 4
+    assert usage_at(tl, 3) == 4
 
 
 def test_back_to_back_commits_do_not_conflict():
     tl = CapacityTimeline.empty(2)
     tl = tl.commit(job("a", 0, 3, 3, 2, 6), 0)
     tl = tl.commit(job("b", 3, 6, 3, 2, 6), 3)
-    assert tl.usage_at(2) == 2 and tl.usage_at(3) == 2 and tl.usage_at(6) == 0
+    assert usage_at(tl, 2) == 2 and usage_at(tl, 3) == 2 and usage_at(tl, 6) == 0
 
 
 def test_commit_over_capacity_faults():
@@ -60,8 +77,8 @@ def test_commit_over_capacity_faults():
 def test_commit_is_persistent():
     base = CapacityTimeline.empty(4)
     committed = base.commit(job("a", 0, 5, 5, 3, 15), 0)
-    assert base.usage_at(1) == 0
-    assert committed.usage_at(1) == 3
+    assert usage_at(base, 1) == 0
+    assert usage_at(committed, 1) == 3
 
 
 def test_canonical_form_merges_levels():
@@ -134,7 +151,7 @@ def test_committed_usage_never_exceeds_capacity(entries):
     for x in range(0, 14):
         probe = Fraction(x, 1)
         used = sum(c for (s, t, c) in committed if s <= probe < s + t)
-        assert used == tl.usage_at(probe) <= capacity
+        assert used == usage_at(tl, probe) <= capacity
 
 
 # --- differential check against the reference timeline --------------------
@@ -236,7 +253,7 @@ def test_commits_keep_the_profile_canonical(profile):
     if times:
         probes += [times[0] - 1, times[-1] + 1]
     for at in probes:
-        assert tl.usage_at(at) == sum(c for s, e, c in committed if s <= at < e)
+        assert usage_at(tl, at) == sum(c for s, e, c in committed if s <= at < e)
 
 
 # a probe job (release, length, slack, demand), in quarters but for the demand
