@@ -41,7 +41,7 @@ from .model import (
     realized_bounds,
 )
 from .oracle import OracleResult, subset_feasible
-from .timeline import CapacityTimeline
+from .timeline import CapacityTimeline, integer_times
 
 
 # ---------------------------------------------------------------------------
@@ -433,29 +433,37 @@ def truthfulness_audit(
     reads only those (``test_price_reads_only_length_and_demand``).  Each
     job's grid is built once per instance object by ``deviations_for`` and
     kept in ``inst.audit_grids`` under (capacity, grid), so every kind and
-    coin tuple audited on that object reads the same ready reports.
+    coin tuple audited on that object reads the same ready reports.  Each
+    entry holds, per job, its truthful row and then its reports, with every
+    a, d and t scaled by ``integer_times`` to ints on the entry's one scale
+    and the reported t kept beside them for the price, so every earliest-fit
+    sweep and commit compares ints; truthful starts never leave the audit.
     tests/test_audit.py compares whole reports with tests/audit_reference.py,
     the audit with one copy and one ``evaluate_arrival`` per deviation.
     """
     price_of = price_rule(config, coins)
     grids, key = inst.audit_grids, (config.capacity, grid)
     if key not in grids:
-        grids[key] = tuple(deviations_for(job, config.capacity, grid) for job in inst.jobs)
+        rows = [((job.a, job.d, job.t), *deviations_for(job, config.capacity, grid)) for job in inst.jobs]
+        whole = iter(integer_times(x for job_rows in rows for row in job_rows for x in row[:3])[1])
+        grids[key] = tuple(
+            tuple((next(whole), next(whole), next(whole), *row[2:]) for row in job_rows) for job_rows in rows
+        )
     timeline = CapacityTimeline.empty(config.capacity)
     tested = 0
     profitable: list[ProfitableDeviation] = []
-    for job, reports in zip(inst.jobs, grids[key]):
+    for job, ((a, d, length, _), *reports) in zip(inst.jobs, grids[key]):
         price = price_of(job.t, job.c)
-        start = timeline.earliest_feasible_start(job) if job.v >= price else None
+        start = timeline.earliest_fit(a, d, length, job.c) if job.v >= price else None
         bar = job.v if start is None else price
         tested += len(reports)
-        for a, d, t, c, v, repriced, changes in reports:
-            reported_price = price_of(t, c) if repriced else price
+        for a, d, t, reported_t, c, v, repriced, changes in reports:
+            reported_price = price_of(reported_t, c) if repriced else price
             could_pay = reported_price < bar and v >= reported_price
             if could_pay and timeline.earliest_fit(a, d, t, c) is not None:
                 profitable.append(ProfitableDeviation(job.id, changes, bar - reported_price))
         if start is not None:
-            timeline = timeline.commit(job, start)
+            timeline = timeline.add(start, start + length, job.c)
     return AuditReport(
         instance_id=instance_id,
         mechanism=config.kind,

@@ -17,11 +17,10 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .model import Instance
-from .timeline import CapacityTimeline
+from .timeline import CapacityTimeline, integer_times
 
 DEFAULT_JOB_CAP = 12
 DEFAULT_NODE_CAP = 10**6
@@ -63,12 +62,9 @@ class _Budget:
 
 def _scaled_jobs(inst: Instance) -> tuple[int, dict[str, ScaledJob]]:
     """L and each job, by id, with its times multiplied by L."""
-    scale = lcm(*(x.denominator for job in inst.jobs for x in (job.a, job.d, job.t)))
-
-    def whole(x: Fraction) -> int:
-        return x.numerator * (scale // x.denominator)
-
-    return scale, {job.id: (job.id, whole(job.a), whole(job.d), whole(job.t), job.c) for job in inst.jobs}
+    scale, times = integer_times(x for job in inst.jobs for x in (job.a, job.d, job.t))
+    whole = iter(times)
+    return scale, {job.id: (job.id, next(whole), next(whole), next(whole), job.c) for job in inst.jobs}
 
 
 def candidate_starts(jobs: Iterable[ScaledJob]) -> list[int]:

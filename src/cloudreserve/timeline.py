@@ -12,7 +12,8 @@ breakpoints of which W lie in the range.  ``earliest_feasible_start`` is one
 forward sweep that visits each segment after the release at most once.
 
 Times are ints or Fractions, one kind per timeline: the mechanisms place
-reported Fractions, and the offline oracle places times scaled to ints.
+reported Fractions, and the offline oracle and the misreport audit place times
+scaled to ints by ``integer_times``.
 """
 
 from __future__ import annotations
@@ -20,12 +21,21 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import itemgetter
-from typing import Optional
+from typing import Iterable, Optional
 
 from .model import Reservation
 
 _time = itemgetter(0)
+
+
+def integer_times(times: Iterable[Fraction]) -> tuple[int, list[int]]:
+    """(L, [x * L for x in times]), L the LCM of the times' denominators, so
+    every image is an int and order between the times is kept."""
+    times = list(times)
+    scale = lcm(*(x.denominator for x in times))
+    return scale, [x.numerator * (scale // x.denominator) for x in times]
 
 
 class CapacityError(RuntimeError):

@@ -27,6 +27,16 @@ from conftest import DENSITIES_8, LENGTHS_8, instance, job, make_workload
 
 real_price_rule = mechanisms.price_rule
 
+# Times whose denominators hold 3, 5 and 7, so an audit scale is no power of 2.
+ARRIVALS_3 = tuple(Fraction(k, 3) for k in range(7))
+LENGTHS_357 = (Fraction(1), Fraction(7, 5), Fraction(5, 3), Fraction(2))
+SLACKS_7 = (Fraction(0), Fraction(1, 7), Fraction(2, 3))
+
+
+def non_dyadic_workload(seed, capacity, job_count):
+    return make_workload(seed, capacity, lengths=LENGTHS_357, job_count=job_count,
+                         arrivals=ARRIVALS_3, slacks=SLACKS_7)
+
 
 def rebate_for_long_reports(config, coins):
     """A broken rule whose price falls as the reported length grows."""
@@ -38,6 +48,9 @@ def discount_for_large_demand(config, coins):
     """A broken rule whose price falls as the reported demand grows."""
     real = real_price_rule(config, coins)
     return lambda t, c: real(t, c) / (c * c)
+
+
+RULES = (real_price_rule, rebate_for_long_reports, discount_for_large_demand)
 
 
 def audits(config, inst, grid, rule=real_price_rule):
@@ -54,15 +67,19 @@ def audits(config, inst, grid, rule=real_price_rule):
 
 @st.composite
 def audit_cases(draw):
-    """A small instance in a narrow or a wide market, a kind and a grid."""
+    """A small instance in a narrow, a wide or a non-dyadic market, a kind and
+    a grid."""
     seed = draw(st.integers(0, 10_000))
     capacity = draw(st.sampled_from((1, 2, 3, 8, 9)))
     job_count = draw(st.integers(1, 6))
-    if draw(st.booleans()):
+    market = draw(st.sampled_from(("narrow", "wide", "non-dyadic")))
+    if market == "narrow":
         inst = make_workload(seed, capacity, job_count=job_count)
-    else:
+    elif market == "wide":
         inst = make_workload(seed, capacity, densities=DENSITIES_8, lengths=LENGTHS_8,
                              job_count=job_count, tighten=False, rho_max=8, t_max=8)
+    else:
+        inst = non_dyadic_workload(seed, capacity, job_count)
     config = MechanismConfig(
         kind=draw(st.sampled_from(MECHANISM_KINDS)), bounds=inst.bounds, capacity=capacity
     )
@@ -72,11 +89,24 @@ def audit_cases(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(audit_cases(), st.sampled_from((real_price_rule, rebate_for_long_reports,
-                                       discount_for_large_demand)))
+@given(audit_cases(), st.sampled_from(RULES))
 def test_audit_matches_reference(case, rule):
     for fast, slow in audits(*case, rule=rule):
         assert fast == slow
+
+
+@pytest.mark.parametrize("rule", RULES)
+@pytest.mark.parametrize("job_count, points", [(0, 5), (5, 2), (6, 2)])
+def test_audit_matches_reference_on_edge_grids(rule, job_count, points):
+    """No jobs (a scale over no times), and two points per axis, where the
+    axis steps are the whole slack and the whole length, on non-dyadic times."""
+    for seed in range(3):
+        inst = non_dyadic_workload(seed, 8, job_count)
+        for kind in MECHANISM_KINDS:
+            config = MechanismConfig(kind=kind, bounds=inst.bounds, capacity=8)
+            for corners in (False, True):
+                for fast, slow in audits(config, inst, DeviationGrid(points, corners), rule):
+                    assert fast == slow
 
 
 @pytest.mark.parametrize("rule", [rebate_for_long_reports, discount_for_large_demand])
@@ -146,8 +176,43 @@ def test_each_capacity_and_grid_audited_on_one_instance_builds_its_own():
                 assert fast == slow
     assert list(inst.audit_grids) == keys[:3]
     for (capacity, grid), built in inst.audit_grids.items():
-        assert built == tuple(harness.deviations_for(job, capacity, grid) for job in inst.jobs)
+        # one integer scale L per entry, read off the first job's length
+        scale = Fraction(built[0][0][2]) / inst.jobs[0].t
+        assert scale.denominator == 1
+        expected = [((job.a, job.d, job.t), *harness.deviations_for(job, capacity, grid))
+                    for job in inst.jobs]
+        assert len(built) == len(expected)
+        for rows, wanted in zip(built, expected):
+            assert len(rows) == len(wanted)
+            for row, report in zip(rows, wanted):
+                assert all(type(time) is int for time in row[:3])
+                assert [Fraction(time, scale.numerator) for time in row[:3]] == list(report[:3])
+                assert row[3:] == report[2:]
     assert inst.audit_grids[(8, DeviationGrid())] != inst.audit_grids[(9, DeviationGrid())]
+
+
+def test_audit_sweeps_and_commits_on_ints():
+    """Every time the audit hands the timeline, truthful or reported, swept
+    or committed, is an int, on dyadic and non-dyadic times alike."""
+    real_fit, real_add = CapacityTimeline.earliest_fit, CapacityTimeline.add
+    swept, committed = [], []
+
+    def fit(self, a, d, t, c):
+        swept.append((a, d, t))
+        return real_fit(self, a, d, t, c)
+
+    def add(self, start, end, amount):
+        committed.append((start, end))
+        return real_add(self, start, end, amount)
+
+    with mock.patch.object(CapacityTimeline, "earliest_fit", fit), \
+            mock.patch.object(CapacityTimeline, "add", add):
+        for inst in (make_workload(4, 8, job_count=6), non_dyadic_workload(4, 8, 6)):
+            for kind in MECHANISM_KINDS:
+                config = MechanismConfig(kind=kind, bounds=inst.bounds, capacity=8)
+                audit_all_coins(config, inst, DeviationGrid(include_corners=True))
+    assert swept and committed
+    assert all(type(time) is int for times in swept + committed for time in times)
 
 
 def one_job_case():
