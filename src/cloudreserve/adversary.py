@@ -244,9 +244,6 @@ class RandomWorkloadSpec:
 
     def __post_init__(self) -> None:
         coerce_fields(self, "workload spec")
-        self._check()
-
-    def _check(self) -> None:
         if self.job_count < 0:
             raise ValueError("job_count must be >= 0")
         if self.capacity < 1:
@@ -265,9 +262,9 @@ class RandomWorkloadSpec:
             raise ValueError("demand choices fall outside [1, capacity]")
 
 
-def gen_random(spec: RandomWorkloadSpec, seed: Optional[int] = None) -> Instance:
-    """Deterministic-in-seed workload; invalid declared bounds raise ``InvalidInstanceError``."""
-    rng = random.Random(spec.seed if seed is None else seed)
+def gen_random(spec: RandomWorkloadSpec) -> Instance:
+    """Deterministic in ``spec.seed``; invalid declared bounds raise ``InvalidInstanceError``."""
+    rng = random.Random(spec.seed)
     # Each choice beside its integer ratio: a draw picks the same index as a
     # draw from the bare choice set, and d = a + t + slack and v = rho c t
     # are each built as one Fraction instead of two Fraction operations.

@@ -10,6 +10,7 @@ was found), so the CLI doubles as a scriptable checker.  A failed claim exits
 from __future__ import annotations
 
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -118,7 +119,7 @@ def gen_theorem5_cmd(n: int, m: int, capacity: int, out: str) -> None:
 def gen_random_cmd(spec: str, seed: int | None, out: str) -> None:
     """Seeded random workload from a spec file."""
     workload = read_object(RandomWorkloadSpec, read_json(spec), "workload spec")
-    inst = gen_random(workload, seed=seed)
+    inst = gen_random(workload if seed is None else replace(workload, seed=seed))
     save_instance(inst, out)
     click.echo(f"wrote {len(inst.jobs)} jobs to {out}")
 

@@ -75,8 +75,18 @@ def effective_spreads(config: MechanismConfig, inst: Instance) -> tuple[Fraction
     return realized.rho_max / config.bounds.rho_min, realized.T
 
 
-def _check_alpha_conformance(config: MechanismConfig, inst: Instance) -> None:
+def _check_premises(config: MechanismConfig, inst: Instance) -> None:
+    """The premises of every ratio and band claim: the run and the optimum
+    share one capacity, the configured market holds every job (the instance
+    rebuilt on the config's bounds names each job outside them), a capped
+    kind has ``alpha``, and every demand is within it."""
+    if config.capacity != inst.capacity:
+        raise ValueError(f"capacity: config has {config.capacity}, instance has {inst.capacity}")
+    if config.bounds != inst.bounds:
+        Instance(capacity=inst.capacity, bounds=config.bounds, jobs=inst.jobs)
     if config.alpha is None:
+        if not config.capacity_coin:
+            raise ValueError(f"{config.kind} bound claims require alpha")
         return
     for job in inst.jobs:
         if Fraction(job.c, config.capacity) > config.alpha:
@@ -86,32 +96,21 @@ def _check_alpha_conformance(config: MechanismConfig, inst: Instance) -> None:
             )
 
 
-def _check_capacity(config: MechanismConfig, inst: Instance) -> None:
-    """A ratio divides a run at ``config.capacity`` by an optimum at
-    ``inst.capacity``, so the two must agree."""
-    if config.capacity != inst.capacity:
-        raise ValueError(f"capacity: config has {config.capacity}, instance has {inst.capacity}")
-
-
 def claimed_bound(config: MechanismConfig, inst: Instance) -> Fraction:
     """The competitive-ratio guarantee applicable to this run.
 
     The base guarantee is 1/42 with the capacity coin and (1-a)/(11-a) under
     the demand cap a without it; a banded kind divides it by its L_k * L_T
     bands from the declared bounds.  Random-pricing claims 1/(8Tk + 4k + 2)
-    instead once a realized spread exceeds 2.
+    instead once a realized spread exceeds 2.  ``_check_premises`` raises
+    first if the claim does not apply.
     """
-    _check_alpha_conformance(config, inst)
+    _check_premises(config, inst)
     if config.capacity_coin and not config.banded:
         k_eff, t_eff = effective_spreads(config, inst)
         if k_eff > 2 or t_eff > 2:
             return 1 / (8 * t_eff * k_eff + 4 * k_eff + 2)
-    if config.capacity_coin:
-        base = Fraction(1, 42)
-    elif config.alpha is None:
-        raise ValueError(f"{config.kind} bound claims require alpha")
-    else:
-        base = (1 - config.alpha) / (11 - config.alpha)
+    base = Fraction(1, 42) if config.capacity_coin else (1 - config.alpha) / (11 - config.alpha)
     level_k, level_t = config.levels
     return base / (level_k * level_t)
 
@@ -132,7 +131,6 @@ def exact_expectation(
     instance_id: str = "instance",
 ) -> RatioReport:
     """Exact expected welfare/revenue against the offline optimum."""
-    _check_capacity(config, inst)
     bound = claimed_bound(config, inst)
     expected_welfare, expected_revenue, count = expected_performance(config, inst)
     opt = inst.optimum.opt_welfare
@@ -192,7 +190,7 @@ def binary_filter_band_checks(config: MechanismConfig, inst: Instance) -> tuple[
     """
     if config.kind != BINARY_FILTER:
         raise ValueError("band checks apply to the binary-filter mechanism")
-    _check_capacity(config, inst)
+    _check_premises(config, inst)
     welfare_sums: dict[tuple[int, int], Fraction] = {}
     for outcome in run_coin_space(config, inst):
         band = (outcome.coins.u, outcome.coins.v)

@@ -61,6 +61,7 @@ class Coins:
     v: Optional[int] = None
 
     def __post_init__(self) -> None:
+        coerce_fields(self, "coins")
         if self.i not in (0, 1):
             raise ValueError(f"coin i must be 0 or 1, got {self.i!r}")
 

@@ -42,20 +42,32 @@ def test_gen_theorem5_writes_family(tmp_path):
     assert family.kind == "theorem5" and len(family.instances) == 5
 
 
+RANDOM_SPEC = {
+    "job_count": 5,
+    "capacity": 8,
+    "bounds": {"rho_min": "1", "rho_max": "2", "t_min": "1", "t_max": "2"},
+    "arrivals": ["0", "1", "2"],
+    "slacks": ["0", "1/2"],
+    "lengths": ["1", "3/2", "2"],
+    "demands": [1, 2, 4],
+    "densities": ["1", "2"],
+    "seed": 7,
+}
+
+
+def gen_random_bytes(tmp_path, spec_seed, *seed_option):
+    """The instance file ``gen random`` writes for ``RANDOM_SPEC`` at ``spec_seed``."""
+    spec_path = tmp_path / f"spec{spec_seed}.json"
+    spec_path.write_text(json.dumps({**RANDOM_SPEC, "seed": spec_seed}))
+    out = tmp_path / f"inst{spec_seed}{''.join(seed_option)}.json"
+    result = invoke("gen", "random", "--spec", str(spec_path), *seed_option, "--out", str(out))
+    assert result.exit_code == 0, result.output
+    return out.read_bytes()
+
+
 def test_gen_random_from_spec(tmp_path):
-    spec = {
-        "job_count": 5,
-        "capacity": 8,
-        "bounds": {"rho_min": "1", "rho_max": "2", "t_min": "1", "t_max": "2"},
-        "arrivals": ["0", "1", "2"],
-        "slacks": ["0", "1/2"],
-        "lengths": ["1", "3/2", "2"],
-        "demands": [1, 2, 4],
-        "densities": ["1", "2"],
-        "seed": 7,
-    }
     spec_path = tmp_path / "spec.json"
-    spec_path.write_text(json.dumps(spec))
+    spec_path.write_text(json.dumps(RANDOM_SPEC))
     out = tmp_path / "inst.json"
     result = invoke("gen", "random", "--spec", str(spec_path), "--seed", "7", "--out", str(out))
     assert result.exit_code == 0, result.output
@@ -66,6 +78,12 @@ def test_gen_random_from_spec(tmp_path):
     out2 = tmp_path / "inst2.json"
     invoke("gen", "random", "--spec", str(spec_path), "--seed", "7", "--out", str(out2))
     assert out.read_text() == out2.read_text()
+
+
+def test_gen_random_seed_option_overrides_the_spec_seed(tmp_path):
+    overridden = gen_random_bytes(tmp_path, 9, "--seed", "10")
+    assert overridden == gen_random_bytes(tmp_path, 10)
+    assert overridden != gen_random_bytes(tmp_path, 9)
 
 
 def test_run_json_and_csv(tmp_path):

@@ -15,6 +15,7 @@ from cloudreserve import (
     RANDOM_PRICING,
     Coins,
     DeviationGrid,
+    InvalidInstanceError,
     MechanismConfig,
     audit_all_coins,
     band_of,
@@ -138,6 +139,22 @@ def test_a_ratio_needs_the_run_and_the_optimum_at_one_capacity():
     for kind, check in ((RANDOM_PRICING, exact_expectation), (BINARY_FILTER, binary_filter_band_checks)):
         with pytest.raises(ValueError, match="capacity: config has 12, instance has 4"):
             check(MechanismConfig(kind, inst.bounds, 12), inst)
+
+
+def test_a_claim_needs_a_market_that_holds_every_job():
+    # the config's market (1, 2, 1, 2) has no band for job a's density 4
+    inst = instance(4, [job("a", 0, 4, 1, 1, 4), job("b", 0, 4, 1, 1, 1)], rho_max=4, t_max=4)
+    narrow = MechanismConfig(BINARY_FILTER, instance(4, []).bounds, 4)
+    for check in (exact_expectation, binary_filter_band_checks):
+        with pytest.raises(InvalidInstanceError, match="job a: density outside market bounds"):
+            check(narrow, inst)
+
+
+def test_band_checks_need_every_demand_within_alpha():
+    inst = instance(8, [job("a", 0, 4, 2, 1, 2), job("b", 0, 4, 2, 4, 8)])
+    cfg = config_for(inst, kind=BINARY_FILTER, alpha=Fraction(1, 4))
+    with pytest.raises(ValueError, match="job b: demand fraction 4/8 exceeds alpha 1/4"):
+        binary_filter_band_checks(cfg, inst)
 
 
 # --- band checks -------------------------------------------------------------
@@ -375,6 +392,15 @@ def test_emit_yao_strategy_rows(tmp_path):
     lines = csv_path.read_text().splitlines()
     assert len(lines) == 1 + 9
     assert all(line.startswith("six,") for line in lines[1:])
+
+
+def test_emit_rejects_a_report_with_no_summary_row(tmp_path):
+    # a run has a record and a table of its own, but no row in the summary table
+    inst = instance(8, [job("x", 0, 10, 2, 3, 6)])
+    outcome = run_sequence(config_for(inst, kind=GREEDY), Coins(i=0), inst)
+    with pytest.raises(TypeError, match="cannot emit report of type Outcome"):
+        emit_results([outcome], tmp_path)
+    assert not (tmp_path / "results.csv").exists()
 
 
 # --- records -------------------------------------------------------------------

@@ -82,6 +82,11 @@ def test_coin_space_sizes():
 def test_coins_reject_bad_i():
     with pytest.raises(ValueError):
         Coins(i=2)
+    # a bool or float coin is no count: it would price and record as itself
+    for fields, name in (({"i": True}, "i"), ({"i": 0, "u": 2.0, "v": 1}, "u"),
+                         ({"i": 0, "u": 1, "v": False}, "v")):
+        with pytest.raises(ValueError, match=f"coins: field '{name}'"):
+            Coins(**fields)
 
 
 # --- pricing ---------------------------------------------------------------

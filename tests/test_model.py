@@ -16,6 +16,7 @@ import validate_reference
 from cloudreserve import (
     BINARY_FILTER,
     GREEDY,
+    Coins,
     DeviationGrid,
     Instance,
     InvalidInstanceError,
@@ -500,6 +501,7 @@ def converting_bases() -> dict:
         MarketBounds: [MarketBounds(Fraction(1, 2), 2, 1, Fraction(5, 2))],
         Instance: [inst],
         RandomWorkloadSpec: [spec],
+        Coins: [Coins(i=1, u=2, v=1), Coins(i=0)],
         DeviationGrid: [DeviationGrid(points_per_dim=3, include_corners=True)],
         MechanismConfig: [
             MechanismConfig(BINARY_FILTER, bounds, 8, Fraction(1, 2)), MechanismConfig(GREEDY, bounds, 8),

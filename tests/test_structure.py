@@ -262,6 +262,7 @@ UNCALLED = {
     "binary_filter_band_checks": "library entry point",
     "evaluate_arrival": "traced by bench/layers.py: ROADMAP item 8, then item 14",
     "CapacityTimeline.max_usage": "traced by bench/layers.py: ROADMAP item 8, then item 14",
+    "Reservation.report": "traced by bench/layers.py; tests/audit_reference.py copies misreports with it",
 }
 
 
@@ -286,9 +287,11 @@ def is_click_command(node: ast.FunctionDef) -> bool:
 
 
 def uncalled_definitions(allowed) -> list[str]:
-    """Public functions and methods whose name no ``ast.Name`` or
-    ``ast.Attribute`` in the package source outside their own definition
-    carries, leaving out click commands and the ``allowed`` names."""
+    """Public functions and methods whose name nothing in the package source
+    outside their own definition carries, leaving out click commands and the
+    ``allowed`` names.  A function is named by an ``ast.Name`` or an
+    ``ast.Attribute``; a method only by an ``ast.Attribute`` (``x.report``),
+    since a local variable of the same name calls nothing."""
     trees = {path.name: ast.parse(path.read_text(), filename=str(path))
              for path in sorted(PACKAGE_DIR.glob("*.py"))}
     named = [
@@ -302,8 +305,11 @@ def uncalled_definitions(allowed) -> list[str]:
             if qualified in allowed or is_click_command(definition):
                 continue
             inside = {id(node) for node in ast.walk(definition)}
-            name = qualified.rpartition(".")[2]
-            if not any(used == name and id(node) not in inside for node, used in named):
+            owner, _, name = qualified.rpartition(".")
+            if not any(
+                used == name and id(node) not in inside and (isinstance(node, ast.Attribute) or not owner)
+                for node, used in named
+            ):
                 found.append(qualified)
     return found
 
@@ -317,3 +323,11 @@ def test_every_public_function_has_a_caller_in_the_package():
 def test_every_uncalled_name_is_defined_and_has_no_caller():
     """An ``UNCALLED`` entry that gains a caller or loses its definition goes."""
     assert sorted(uncalled_definitions({})) == sorted(UNCALLED)
+
+
+def test_every_uncalled_name_kept_for_the_bench_is_traced():
+    """An ``UNCALLED`` entry kept because ``bench/layers.py`` traces it goes
+    once the bench stops tracing it."""
+    kept = {name for name, reason in UNCALLED.items() if "bench/layers.py" in reason}
+    assert kept
+    assert kept <= {path for _, _, path in traced_targets()}
