@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import singledispatch
-from itertools import accumulate, combinations, compress, product, repeat
+from itertools import accumulate, combinations, compress, product, repeat, starmap
 from operator import sub
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
@@ -422,51 +422,52 @@ def truthfulness_audit(
     Earlier arrivals cannot observe the deviator's report, and its utility
     (true value minus charged price if accepted, else 0) is settled at its own
     arrival, so each deviation is one decision on the raw reported fields
-    against the truthful prefix timeline, never committed.  Every deviation is
-    decided by one price bar: the truthful price p if the truthful report is
-    accepted, else the true value v.  A deviation priced p-hat pays exactly
-    when p-hat < bar, its reported value covers p-hat, and earliest-fit finds
-    a slot for its reported window, length and demand; its gain is
-    bar - p-hat.  p-hat is p when neither t nor c changed, because the price
-    reads only those (``test_price_reads_only_length_and_demand``).  Each
-    job's grid is built once per instance object by ``deviations_for`` and
-    kept in ``inst.audit_grids`` under (capacity, grid), so every kind and
-    coin tuple audited on that object reads the same ready reports.  Each
-    entry holds, per job, its truthful row and then its reports, with every
-    a, d and t scaled by ``integer_times`` to ints on the entry's one scale
-    and the reported t kept beside them for the price, so every earliest-fit
-    sweep and commit compares ints; truthful starts never leave the audit.
-    tests/test_audit.py compares whole reports with tests/audit_reference.py,
-    the audit with one copy and one ``evaluate_arrival`` per deviation.
+    against the truthful prefix timeline, never committed.  With bar the
+    truthful price p if the truthful report is accepted, else the true value
+    v, a deviation priced p-hat pays exactly when p-hat < bar, its reported
+    value covers p-hat and earliest-fit finds a slot for its reported window,
+    length and demand; it gains bar - p-hat.  Each job's grid is built once
+    per instance object by ``deviations_for`` and kept in
+    ``inst.audit_grids`` under (capacity, grid) for every kind and coin
+    tuple: the entry's price points, each distinct reported (t, c) (the price
+    reads nothing else, ``test_price_reads_only_length_and_demand``), and per
+    job the truthful row, then the reports, each all ints: a, d and t on the
+    entry's one ``integer_times`` scale, c, the value as numerator and
+    denominator, and the price point's index; then a report's changes.  Each
+    audit prices each point once, as an integer ratio, so sweeps and commits
+    compare ints and money tests cross-multiply; only a gain is a
+    ``Fraction``.  tests/test_audit.py compares whole reports with
+    tests/audit_reference.py, which copies and evaluates each deviation.
     """
-    price_of = price_rule(config, coins)
     grids, key = inst.audit_grids, (config.capacity, grid)
     if key not in grids:
-        rows = [((job.a, job.d, job.t), *deviations_for(job, config.capacity, grid)) for job in inst.jobs]
+        rows = [((job.a, job.d, job.t, job.c, job.v), *deviations_for(job, config.capacity, grid))
+                for job in inst.jobs]
         whole = iter(integer_times(x for job_rows in rows for row in job_rows for x in row[:3])[1])
-        grids[key] = tuple(
-            tuple((next(whole), next(whole), next(whole), *row[2:]) for row in job_rows) for job_rows in rows
-        )
+        points: dict = {}
+        rows = tuple(tuple((next(whole), next(whole), next(whole), row[3], *row[4].as_integer_ratio(),
+                            points.setdefault(row[2:4], len(points)), *row[6:]) for row in job_rows)
+                     for job_rows in rows)
+        grids[key] = tuple(points), rows
+    points, rows = grids[key]
+    prices = [price.as_integer_ratio() for price in starmap(price_rule(config, coins), points)]
     timeline = CapacityTimeline.empty(config.capacity)
-    tested = 0
     profitable: list[ProfitableDeviation] = []
-    for job, ((a, d, length, _), *reports) in zip(inst.jobs, grids[key]):
-        price = price_of(job.t, job.c)
-        start = timeline.earliest_fit(a, d, length, job.c) if job.v >= price else None
-        bar = job.v if start is None else price
-        tested += len(reports)
-        for a, d, t, reported_t, c, v, repriced, changes in reports:
-            reported_price = price_of(reported_t, c) if repriced else price
-            could_pay = reported_price < bar and v >= reported_price
-            if could_pay and timeline.earliest_fit(a, d, t, c) is not None:
-                profitable.append(ProfitableDeviation(job.id, changes, bar - reported_price))
+    for job, ((a, d, length, c, vn, vd, point), *reports) in zip(inst.jobs, rows):
+        pn, pd = prices[point]
+        start = timeline.earliest_fit(a, d, length, c) if vn * pd >= pn * vd else None
+        bn, bd = (vn, vd) if start is None else (pn, pd)
+        for a, d, t, c, vn, vd, point, changes in reports:
+            pn, pd = prices[point]
+            if pn * bd < bn * pd and vn * pd >= pn * vd and timeline.earliest_fit(a, d, t, c) is not None:
+                profitable.append(ProfitableDeviation(job.id, changes, Fraction(bn * pd - pn * bd, bd * pd)))
         if start is not None:
             timeline = timeline.add(start, start + length, job.c)
     return AuditReport(
         instance_id=instance_id,
         mechanism=config.kind,
         coins=coins,
-        deviations_tested=tested,
+        deviations_tested=sum(map(len, rows)) - len(rows),  # every row but the truthful ones
         profitable_deviations=tuple(profitable),
     )
 

@@ -239,13 +239,12 @@ class Instance:
     ``dataclasses.replace`` and the file codec) raises ``InvalidInstanceError``
     listing every violation ``validate_instance`` finds.  Besides its offline
     optimum, an instance keeps on itself the misreport grids the audit builds
-    for its jobs (``audit_grids``).
+    for its jobs, by (capacity, grid), with their price points (``audit_grids``).
     """
 
     capacity: int
     bounds: MarketBounds
     jobs: tuple[Reservation, ...]
-    # each job's harness.deviations_for grid by (capacity, grid), filled by the audit
     audit_grids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:

@@ -30,14 +30,16 @@ def make_workload(
     t_max=None,
     arrivals=ARRIVALS,
     slacks=SLACKS,
+    rho_min=1,
+    t_min=1,
 ) -> Instance:
     spec = RandomWorkloadSpec(
         job_count=3 + seed % 8 if job_count is None else job_count,
         capacity=capacity,
         bounds=MarketBounds(
-            rho_min=1,
+            rho_min=rho_min,
             rho_max=rho_max if rho_max is not None else max(densities),
-            t_min=1,
+            t_min=t_min,
             t_max=t_max if t_max is not None else max(lengths),
         ),
         arrivals=arrivals,

@@ -21,6 +21,7 @@ from cloudreserve import (
     coin_space,
     harness,
     mechanisms,
+    run_sequence,
     truthfulness_audit,
 )
 from conftest import DENSITIES_8, LENGTHS_8, instance, job, make_workload
@@ -36,6 +37,19 @@ SLACKS_7 = (Fraction(0), Fraction(1, 7), Fraction(2, 3))
 def non_dyadic_workload(seed, capacity, job_count):
     return make_workload(seed, capacity, lengths=LENGTHS_357, job_count=job_count,
                          arrivals=ARRIVALS_3, slacks=SLACKS_7)
+
+
+# A market whose prices and values carry mixed denominators: rho_min = 2/3,
+# t_min = 7/5, densities over 3 and 7, and (at an odd capacity) the half
+# threshold C/2, so no cross-multiplied money test holds by a denominator of 1.
+DENSITIES_37 = (Fraction(2, 3), Fraction(5, 7), Fraction(4, 3), Fraction(11, 7), Fraction(17, 7), Fraction(8, 3))
+LENGTHS_75 = (Fraction(7, 5), Fraction(2), Fraction(7, 3), Fraction(28, 5))
+
+
+def money_heavy_workload(seed, capacity, job_count):
+    return make_workload(seed, capacity, densities=DENSITIES_37, lengths=LENGTHS_75, job_count=job_count,
+                         tighten=False, rho_min=Fraction(2, 3), rho_max=Fraction(8, 3),
+                         t_min=Fraction(7, 5), t_max=Fraction(28, 5), arrivals=ARRIVALS_3, slacks=SLACKS_7)
 
 
 def rebate_for_long_reports(config, coins):
@@ -109,6 +123,29 @@ def test_audit_matches_reference_on_edge_grids(rule, job_count, points):
                     assert fast == slow
 
 
+@pytest.mark.parametrize("rule", RULES)
+def test_audit_matches_reference_on_mixed_denominator_money(rule):
+    """Prices and values over 2, 3, 5 and 7 at odd capacities: every report
+    equals the reference's, truthful reports are both accepted and rejected,
+    and under the broken rules some gains have a denominator of 3 or 7."""
+    accepted = rejected = 0
+    gains = []
+    for seed in range(4):
+        for capacity in (5, 7):
+            inst = money_heavy_workload(seed, capacity, 5)
+            for kind in MECHANISM_KINDS:
+                config = MechanismConfig(kind=kind, bounds=inst.bounds, capacity=capacity)
+                for fast, slow in audits(config, inst, DeviationGrid(include_corners=True), rule):
+                    assert fast == slow
+                    gains += [d.utility_gain for d in fast.profitable_deviations]
+                    decisions = [d for _, d in run_sequence(config, fast.coins, inst).decisions]
+                    accepted += sum(d.accepted for d in decisions)
+                    rejected += sum(not d.accepted for d in decisions)
+    assert accepted and rejected
+    if rule is not real_price_rule:
+        assert any(gain.denominator % 3 == 0 or gain.denominator % 7 == 0 for gain in gains)
+
+
 @pytest.mark.parametrize("rule", [rebate_for_long_reports, discount_for_large_demand])
 def test_audit_matches_reference_on_profitable_misreports(rule):
     """Under each broken rule both audits find the same non-empty lists; the
@@ -175,20 +212,63 @@ def test_each_capacity_and_grid_audited_on_one_instance_builds_its_own():
             for fast, slow in pairs:
                 assert fast == slow
     assert list(inst.audit_grids) == keys[:3]
-    for (capacity, grid), built in inst.audit_grids.items():
+    for (capacity, grid), (points, built) in inst.audit_grids.items():
         # one integer scale L per entry, read off the first job's length
         scale = Fraction(built[0][0][2]) / inst.jobs[0].t
         assert scale.denominator == 1
-        expected = [((job.a, job.d, job.t), *harness.deviations_for(job, capacity, grid))
+        expected = [((job.a, job.d, job.t, job.c, job.v), *harness.deviations_for(job, capacity, grid))
                     for job in inst.jobs]
         assert len(built) == len(expected)
+        assert len(set(points)) == len(points)
+        assert set(points) == {report[2:4] for wanted in expected for report in wanted}
         for rows, wanted in zip(built, expected):
             assert len(rows) == len(wanted)
+            truthful_point = rows[0][6]
             for row, report in zip(rows, wanted):
-                assert all(type(time) is int for time in row[:3])
+                assert all(type(field) is int for field in row[:7])
                 assert [Fraction(time, scale.numerator) for time in row[:3]] == list(report[:3])
-                assert row[3:] == report[2:]
+                assert row[3] == report[3]
+                assert row[5] > 0 and Fraction(row[4], row[5]) == report[4]
+                # each row's index points at its own reported (t, c), which is
+                # the truthful one's exactly when the report needs no new price
+                assert points[row[6]] == report[2:4]
+                assert (row[6] != truthful_point) == any(report[5:6])
+                assert row[7:] == report[6:]
     assert inst.audit_grids[(8, DeviationGrid())] != inst.audit_grids[(9, DeviationGrid())]
+
+
+def test_each_audit_prices_each_price_point_once():
+    """One audit calls the rule once per distinct reported (t, c) of its
+    entry, in the entry's order, under every kind and coin tuple: fewer calls
+    than there are reports; a value-equal copy builds its own entry."""
+    inst = make_workload(5, 9, job_count=6)
+    priced = []
+
+    def counting_rule(config, coins):
+        real = real_price_rule(config, coins)
+
+        def price(t, c):
+            priced.append((t, c))
+            return real(t, c)
+        return price
+
+    key = (9, DeviationGrid())
+    with mock.patch.object(harness, "price_rule", counting_rule):
+        for kind in MECHANISM_KINDS:
+            config = MechanismConfig(kind=kind, bounds=inst.bounds, capacity=9)
+            for coins in coin_space(config):
+                priced.clear()
+                report = truthfulness_audit(config, coins, inst)
+                points, _ = inst.audit_grids[key]
+                assert priced == list(points)
+                assert len(points) < report.deviations_tested
+        copy = replace(inst)
+        assert not copy.audit_grids
+        priced.clear()
+        assert truthfulness_audit(config, coins, copy) == report
+        assert priced == list(points)
+        assert copy.audit_grids[key] == inst.audit_grids[key]
+        assert copy.audit_grids[key] is not inst.audit_grids[key]
 
 
 def test_audit_sweeps_and_commits_on_ints():
@@ -242,12 +322,14 @@ def test_audit_asks_the_timeline_for_every_misreport_that_could_pay():
 
 def test_audit_checks_the_reported_value_against_the_reported_price():
     """Under a rule that rebates long reports, doubling t drops the price from
-    3/2 to 3/4; only the report whose value covers 3/4 is served."""
+    3/2 to 3/4; only the reports whose value covers 3/4, one of them exactly,
+    are served."""
     config, inst = one_job_case()
     (truthful,) = inst.jobs
 
     def two_misreports(job, capacity, grid):
-        return [{"t": 2 * job.t, "v": job.v / 100}, {"t": 2 * job.t, "v": 2 * job.v}]
+        return [{"t": 2 * job.t, "v": job.v / 100}, {"t": 2 * job.t, "v": Fraction(3, 4)},
+                {"t": 2 * job.t, "v": 2 * job.v}]
 
     def two_reports(job, capacity, grid):
         return tuple(
@@ -260,5 +342,6 @@ def test_audit_checks_the_reported_value_against_the_reported_price():
         ((fast, slow),) = audits(config, inst, DeviationGrid(), rebate_for_long_reports)
     assert fast == slow
     assert [(d.changes, d.utility_gain) for d in fast.profitable_deviations] == [
-        ((("t", 2 * truthful.t), ("v", 2 * truthful.v)), Fraction(3, 4))
+        ((("t", 2 * truthful.t), ("v", Fraction(3, 4))), Fraction(3, 4)),
+        ((("t", 2 * truthful.t), ("v", 2 * truthful.v)), Fraction(3, 4)),
     ]

@@ -10,7 +10,10 @@ working tree of this checkout.  For each workload, pair k runs
 side, the parent first on odd k and the change first on even k, one process
 at a time.  Every end-to-end metric named in ``BENCHMARK.json`` is summarised
 per side as quartiles and median, with the number of pairs the change won
-(ties count for neither), next to every run and each run's wall seconds.
+(ties count for neither), next to every run and each run's wall seconds and
+each side's median wall seconds.  A metric whose change median is worse than
+the parent's by more than its ``BENCHMARK.json`` bound, a fraction of the
+parent's median, is marked ``past_bound`` and named on stderr.
 
 An existing ``--out`` file is updated in place, so one file can hold runs at
 several seeds: seed 0 under the workload's name, any other seed under
@@ -42,15 +45,27 @@ def quartiles(values: list[float]) -> dict:
     return {"q1": round(q1, 6), "median": round(median, 6), "q3": round(q3, 6)}
 
 
-def summarize(parent_runs: list[dict], change_runs: list[dict], better: dict[str, str]) -> dict:
-    """Per metric in ``better`` (name -> "higher" or "lower"): each side's
-    quartiles, the pairs the change won (ties count for neither) and the runs.
-    ``parent_runs[k]`` and ``change_runs[k]`` are pair k's ``bench/run.py``
-    results; a run whose output could not be read is ``{}`` and wins nothing."""
+def past_bound(parent: dict | None, change: dict | None, better: str, bound: float) -> bool:
+    """Whether the change's median is worse than the parent's, in the
+    direction ``better`` names, by more than ``bound`` times the parent's."""
+    if parent is None or change is None:
+        return False
+    worse_by = parent["median"] - change["median"] if better == "higher" else change["median"] - parent["median"]
+    return worse_by > bound * abs(parent["median"])
+
+
+def summarize(parent_runs: list[dict], change_runs: list[dict], end_to_end: list[dict]) -> dict:
+    """Per metric in ``end_to_end`` (``BENCHMARK.json``'s entries, each with a
+    name, "higher" or "lower" as ``better`` and a ``bound``): each side's
+    quartiles, the pairs the change won (ties count for neither), whether the
+    change's median is past the bound, and the runs.  ``parent_runs[k]`` and
+    ``change_runs[k]`` are pair k's ``bench/run.py`` results; a run whose
+    output could not be read is ``{}`` and wins nothing."""
     if len(parent_runs) != len(change_runs):
         raise ValueError("every pair needs one parent and one change run")
     metrics = {}
-    for name, direction in better.items():
+    for declared in end_to_end:
+        name, direction = declared["name"], declared["better"]
         sides = {
             side: [run.get("metrics", {}).get(name, {}).get("value") for run in runs]
             for side, runs in (("parent", parent_runs), ("change", change_runs))
@@ -62,15 +77,32 @@ def summarize(parent_runs: list[dict], change_runs: list[dict], better: dict[str
             and (new > old if direction == "higher" else new < old)
         )
         present = {side: [v for v in values if v is not None] for side, values in sides.items()}
+        summary = {side: quartiles(values) if values else None for side, values in present.items()}
         metrics[name] = {
             "better": direction,
-            **{side: quartiles(values) if values else None for side, values in present.items()},
+            **summary,
+            "bound": declared["bound"],
+            "past_bound": past_bound(summary["parent"], summary["change"], direction, declared["bound"]),
             "change_wins": wins,
             "pairs": len(parent_runs),
             "parent_runs": [None if v is None else round(v, 6) for v in sides["parent"]],
             "change_runs": [None if v is None else round(v, 6) for v in sides["change"]],
         }
     return metrics
+
+
+def workload_record(seed: int, runs: dict[str, list[dict]], walls: dict[str, list[float]],
+                    end_to_end: list[dict]) -> dict:
+    """One workload's entry under ``pairs``: its runs per side summarised by
+    ``summarize``, with each side's median wall seconds."""
+    return {
+        "seed": seed,
+        "order": ORDER,
+        "all_correct": all(run.get("correct") is True for side in runs.values() for run in side),
+        "failed": {side: sum(run.get("failed", 0) for run in values) for side, values in runs.items()},
+        "median_wall_s": {side: round(statistics.median(values), 2) for side, values in walls.items()},
+        "metrics": summarize(runs["parent"], runs["change"], end_to_end),
+    }
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, float]:
@@ -117,8 +149,7 @@ def parse_args(argv):
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {metric["name"]: metric["better"] for metric in declared["end_to_end"]}
+    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     out = json.loads(args.out.read_text()) if args.out.is_file() else {}
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
         parent_dir = Path(tmp)
@@ -145,13 +176,11 @@ def main(argv=None) -> int:
                     value = result.get("metrics", {}).get("items_per_ref_s", {}).get("value")
                     print(f"{key} pair {pair} {side}: items_per_ref_s={value} "
                           f"correct={result.get('correct')} wall={wall:.1f}s", file=sys.stderr)
-            out.setdefault("pairs", {})[key] = {
-                "seed": args.seed,
-                "order": ORDER,
-                "all_correct": all(run.get("correct") is True for side in runs.values() for run in side),
-                "failed": {side: sum(run.get("failed", 0) for run in values) for side, values in runs.items()},
-                "metrics": summarize(runs["parent"], runs["change"], better),
-            }
+            record = out.setdefault("pairs", {})[key] = workload_record(args.seed, runs, walls, end_to_end)
+            for name, metric in record["metrics"].items():
+                if metric["past_bound"]:
+                    print(f"{key} {name}: median {metric['parent']['median']} -> {metric['change']['median']}, "
+                          f"worse than the parent by more than its bound {metric['bound']}", file=sys.stderr)
             out.setdefault("wall_s", {})[key] = walls
             args.out.write_text(json.dumps(out, indent=1) + "\n")
     return 0
